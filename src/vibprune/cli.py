@@ -261,7 +261,7 @@ def _ensure_out(args) -> str:
 
 class MetricsWriter:
     def __init__(self, path: str):
-        self.f = open(path, "a")
+        self.f = open(path, "w")
 
     def __call__(self, record: dict):
         self.f.write(json.dumps(record) + "\n")

@@ -17,6 +17,7 @@ shifts the mean/variance by a closed-form amount).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,17 +26,7 @@ from .errors import ContractError, DegenerateModelError
 from .gates import effective_hard
 from .model import GatedTransformer, ModelConfig
 from .objective import flops_from_sums
-
-_LN_EPS = 1e-5
-
-
-def _gelu(x):
-    return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x**3)))
-
-
-def _softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return (e / e.sum(axis=-1, keepdims=True, dtype=np.float64)).astype(x.dtype)
+from .tensor import _gelu, _normalize, _softmax
 
 
 @dataclass
@@ -63,14 +54,10 @@ class DenseModel:
 
     def _norm(self, x, gamma=None, beta=None):
         """Layer norm over kept dims with the original width as divisor."""
-        d = self.orig.width
-        n_drop = d - self.d_kept
-        x64 = x.astype(np.float64)
-        m = x64.sum(axis=-1, keepdims=True) / d
-        var = (((x64 - m) ** 2).sum(axis=-1, keepdims=True) + n_drop * m**2) / d
-        y = ((x64 - m) / np.sqrt(var + _LN_EPS)).astype(x.dtype)
+        y, _ = _normalize(x, width=self.orig.width)
         if gamma is not None:
-            y = y * gamma + beta
+            y *= gamma
+            y += beta
         return y
 
     def forward(self, tokens: np.ndarray) -> np.ndarray:
@@ -79,34 +66,33 @@ class DenseModel:
         b, s = tokens.shape
         dh = c.head_dim
         a = self.arrays
+        # a new array, so the in-place adds below never reach the tables
         x = a["emb.tok"][tokens] + a["emb.pos"][np.arange(s)]
         for lay in self.layers:
             w = lay.arrays
             if lay.mha_alive:
                 xn = self._norm(x, w["ln1.weight"], w["ln1.bias"])
-                q = xn @ w["wq.weight"] + w["wq.bias"]
-                k = xn @ w["wk.weight"] + w["wk.bias"]
-                v = xn @ w["wv.weight"] + w["wv.bias"]
-                heads = []
-                for hpos in range(lay.head_idx.size):
-                    sl = slice(hpos * dh, (hpos + 1) * dh)
-                    scores = q[..., sl] @ np.swapaxes(k[..., sl], -1, -2) / np.sqrt(dh)
-                    if c.causal:
-                        mask = np.triu(np.ones((s, s), dtype=bool), 1)
-                        scores = np.where(mask, np.float32(-1e9), scores)
-                    heads.append(_softmax(scores) @ v[..., sl])
-                ctx = (np.concatenate(heads, axis=-1) if heads
-                       else np.zeros(x.shape[:-1] + (0,), dtype=x.dtype))
-                x = x + (ctx @ w["wo.weight"] + w["wo.bias"])
+                nh = lay.head_idx.size
+                # every kept head at once: (b, s, nh*dh) -> (b, nh, s, dh)
+                q, k, v = ((xn @ w[n + ".weight"] + w[n + ".bias"])
+                           .reshape(b, s, nh, dh).transpose(0, 2, 1, 3)
+                           for n in ("wq", "wk", "wv"))
+                scores = q @ k.transpose(0, 1, 3, 2)
+                scores *= 1.0 / math.sqrt(dh)
+                if c.causal:
+                    scores[..., np.triu(np.ones((s, s), dtype=bool), 1)] = -1e9
+                ctx = (_softmax(scores) @ v).transpose(0, 2, 1, 3)
+                x += ctx.reshape(b, s, nh * dh) @ w["wo.weight"] + w["wo.bias"]
             if lay.ffn_alive:
                 xn2 = self._norm(x, w["ln2.weight"], w["ln2.bias"])
-                mid = _gelu(xn2 @ w["wu.weight"] + w["wu.bias"])
+                mid, _ = _gelu(xn2 @ w["wu.weight"] + w["wu.bias"])
                 out = mid @ w["wd.weight"] + w["wd.bias"]
-                upd = x.copy()
-                upd[..., lay.out_idx] = x[..., lay.out_idx] + out
-                x = upd
-        xf = self._norm(x)
-        pooled = xf[:, -1 if c.causal else 0, :]
+                # an indexed add on the last axis is far slower than a plain one
+                if lay.out_idx.size == self.d_kept:
+                    x += out
+                else:
+                    x[..., lay.out_idx] += out
+        pooled = self._norm(x[:, -1 if c.causal else 0, :])
         return pooled @ a["cls.weight"] + a["cls.bias"]
 
     def keep_sums(self):

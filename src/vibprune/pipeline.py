@@ -117,6 +117,17 @@ class FreezePolicy:
         return FreezePolicy(all_params)
 
 
+def _trainable(student: GatedTransformer, distill: DistillConfig, variant: str,
+               phase: str) -> list:
+    """The (name, param) pairs a phase trains. Every other parameter stops
+    requiring gradients, so backward fills no `.grad` the optimizer never reads."""
+    policy = FreezePolicy.for_variant(variant, phase)
+    named = list(student.named_params()) + [("distill.w_layer", distill.w_layer)]
+    for n, p in named:
+        p.requires_grad = policy.trainable(n)
+    return [(n, p) for n, p in named if p.requires_grad]
+
+
 class AdamW:
     """Decoupled-weight-decay adaptive moments; no decay on gates, norms, biases."""
 
@@ -299,10 +310,7 @@ def prune_phase(student: GatedTransformer, teacher: GatedTransformer,
             metric=cfg.metric, target=cfg.target, lambda_lr=cfg.lambda_lr,
             warmup_steps=max(1, int(cfg.warmup_frac * total_steps)))
 
-    policy = FreezePolicy.for_variant(cfg.variant, "prune")
-    named = [(n, p) for n, p in student.named_params() if policy.trainable(n)]
-    if policy.trainable("distill.w_layer"):
-        named.append(("distill.w_layer", distill.w_layer))
+    named = _trainable(student, distill, cfg.variant, "prune")
     opt = AdamW(named, cfg.lr_weights, cfg.lr_gates)
 
     cache = _TeacherCache(teacher)
@@ -399,12 +407,8 @@ def finetune_phase(student: GatedTransformer, teacher: GatedTransformer,
     rng_batches = np.random.default_rng(cfg.seed + 31)
     batches = _batches(len(lab), cfg.batch_size, rng_batches)
 
-    policy = FreezePolicy.for_variant(cfg.variant, "finetune")
     surv = survival_masks(student, cfg.tau)
-    named = [(n, p) for n, p in student.named_params()
-             if policy.trainable(n) and not n.startswith("gate.")]
-    if policy.trainable("distill.w_layer"):
-        named.append(("distill.w_layer", distill.w_layer))
+    named = _trainable(student, distill, cfg.variant, "finetune")
     opt = AdamW(named, cfg.lr_weights, cfg.lr_gates)
 
     alive = [bool(student.gates.layer_ffn[i].frozen_hard[0])

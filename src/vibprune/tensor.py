@@ -1,8 +1,9 @@
 """Minimal reverse-mode autodiff engine on numpy arrays.
 
 Design rules:
-  * float32 storage by default; reductions, softmax and layer norm use
-    float64 accumulators internally.
+  * float32 storage and arithmetic by default; float64 only for sums
+    (reductions, and the softmax/norm denominators), cast back down before
+    they meet float32 data. A float64 input stays float64 throughout.
   * broadcasting in `add`/`mul` is restricted to: identical shapes,
     a size-1 tensor against anything, and a 1-D vector whose length
     matches the other operand's last dimension.
@@ -143,6 +144,41 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# numeric kernels: plain arrays in, plain arrays out, in the input's dtype.
+# The graph primitives below and the dense serving model both call these.
+# They stay private: bench/tracing.py wraps public functions only, so their
+# time is charged to the primitive or dense forward that called them.
+
+
+def _gelu(x: np.ndarray):
+    """tanh-approximate GELU; also returns the tanh, which the backward needs.
+
+    The cube is written as products: `x**3` is a slow generic power."""
+    t = np.tanh(_GELU_K0 * (x + _GELU_K1 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
+
+
+def _normalize(x: np.ndarray, width: Optional[int] = None):
+    """Zero mean, unit variance over the last dim; returns (y, 1/std).
+
+    A `width` larger than the last dim counts the missing entries as zeros,
+    so a model that dropped dims of a zero-padded stream normalizes exactly
+    as the full-width one did."""
+    d = x.shape[-1]
+    n = d if width is None else width
+    m = x.sum(axis=-1, keepdims=True, dtype=np.float64) / n
+    xc = x - m.astype(x.dtype)
+    ss = (xc * xc).sum(axis=-1, keepdims=True, dtype=np.float64)
+    inv = (1.0 / np.sqrt((ss + (n - d) * m * m) / n + _LN_EPS)).astype(x.dtype)
+    return xc * inv, inv
+
+
+# ---------------------------------------------------------------------------
 # primitives
 
 
@@ -239,13 +275,11 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     xd = x.data
-    inner = _GELU_K0 * (xd + _GELU_K1 * xd**3)
-    t = np.tanh(inner)
-    out = 0.5 * xd * (1.0 + t)
+    out, t = _gelu(xd)
 
     def bw(g):
-        dinner = _GELU_K0 * (1.0 + 3.0 * _GELU_K1 * xd**2)
-        dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t**2) * dinner
+        dinner = _GELU_K0 * (1.0 + 3.0 * _GELU_K1 * (xd * xd))
+        dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
         return [g * dx]
 
     return _make("gelu", out, [x], bw)
@@ -255,10 +289,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     xd = x.data
     if xd.ndim == 0:
         raise ShapeError("softmax_lastdim: scalar input")
-    shifted = xd - xd.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)
-    out = (e / denom).astype(xd.dtype)
+    out = _softmax(xd)
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True, dtype=np.float64).astype(g.dtype)
@@ -272,19 +303,12 @@ def layer_norm_lastdim(x: Tensor) -> Tensor:
     xd = x.data
     if xd.ndim == 0:
         raise ShapeError("layer_norm_lastdim: scalar input")
-    x64 = xd.astype(np.float64)
-    m = x64.mean(axis=-1, keepdims=True)
-    v = x64.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(v + _LN_EPS)
-    y64 = (x64 - m) * inv
-    out = y64.astype(xd.dtype)
+    out, inv = _normalize(xd)
 
     def bw(g):
-        g64 = g.astype(np.float64)
-        gm = g64.mean(axis=-1, keepdims=True)
-        gy = (g64 * y64).mean(axis=-1, keepdims=True)
-        dx = (g64 - gm - y64 * gy) * inv
-        return [dx.astype(g.dtype)]
+        gm = g.mean(axis=-1, keepdims=True, dtype=np.float64).astype(g.dtype)
+        gy = (g * out).mean(axis=-1, keepdims=True, dtype=np.float64).astype(g.dtype)
+        return [(g - gm - out * gy) * inv]
 
     return _make("layer_norm_lastdim", out, [x], bw)
 
@@ -415,38 +439,6 @@ def causal_mask_fill(x: Tensor) -> Tensor:
         return [np.where(keep, g, 0.0)]
 
     return _make("causal_mask_fill", out, [x], bw)
-
-
-# ---------------------------------------------------------------------------
-# spec-surface dispatch
-
-_PRIMITIVES = {
-    "matmul": lambda ins, attrs: matmul(*ins),
-    "add": lambda ins, attrs: add(*ins),
-    "mul": lambda ins, attrs: mul(*ins),
-    "gather_rows": lambda ins, attrs: gather_rows(ins[0], attrs["indices"]),
-    "gelu": lambda ins, attrs: gelu(*ins),
-    "softmax_lastdim": lambda ins, attrs: softmax_lastdim(*ins),
-    "layer_norm_lastdim": lambda ins, attrs: layer_norm_lastdim(*ins),
-    "mean": lambda ins, attrs: mean(*ins),
-    "sum": lambda ins, attrs: tsum(*ins),
-    "log": lambda ins, attrs: tlog(*ins),
-    "exp": lambda ins, attrs: texp(*ins),
-    "square": lambda ins, attrs: square(*ins),
-    "sigmoid": lambda ins, attrs: sigmoid(*ins),
-    "concat_lastdim": lambda ins, attrs: concat_lastdim(ins),
-    "slice_lastdim": lambda ins, attrs: slice_lastdim(ins[0], attrs["start"], attrs["stop"]),
-    "transpose_last2": lambda ins, attrs: transpose_last2(*ins),
-    "scale": lambda ins, attrs: scale(ins[0], attrs["c"]),
-    "causal_mask_fill": lambda ins, attrs: causal_mask_fill(*ins),
-}
-
-
-def primitive_forward(op_id: str, inputs: Sequence[Tensor], attrs: Optional[dict] = None) -> Tensor:
-    """Apply one primitive by name. Records a graph node when grads flow."""
-    if op_id not in _PRIMITIVES:
-        raise ContractError(f"unknown primitive '{op_id}'")
-    return _PRIMITIVES[op_id](list(inputs), attrs or {})
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,21 @@ class TestCommandChain:
         mat = np.array(js["matrix"])
         np.testing.assert_array_equal(mat, mat.T)
 
+    def test_rerun_replaces_metrics(self, workdir, capsys):
+        cfg = str(workdir / "run.cfg")
+        t_dir = str(workdir / "teacher")
+        out = str(workdir / "prune_twice")
+        runs = []
+        for _ in range(2):
+            self._run(["prune", "--config", cfg, "--out", out,
+                       "--teacher", os.path.join(t_dir, "teacher.ckpt"),
+                       "--dataset", os.path.join(t_dir, "dataset.bin")], capsys)
+            with open(os.path.join(out, "metrics.jsonl")) as f:
+                runs.append([json.loads(l) for l in f])
+        assert runs[1] == runs[0]
+        steps = [m["step"] for m in runs[1] if "val_accuracy" not in m]
+        assert steps == list(range(len(steps)))
+
     def test_eval_teacher_smoke(self, workdir, capsys):
         cfg = str(workdir / "run.cfg")
         t_dir = str(workdir / "teacher")

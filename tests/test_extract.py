@@ -1,6 +1,8 @@
 """Extraction tests: dense model equivalence against the masked forward,
 exact accounting, structural deletions, idempotence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,8 @@ CFG = ModelConfig(vocab_size=16, max_seq=12, width=16, layers=2, heads=2,
                   ffn_dim=24, num_classes=2)
 
 
-def make_binarized(seed=0, mutate=None, mu_std=0.05):
-    teacher = build_teacher(CFG, seed)
+def make_binarized(seed=0, mutate=None, mu_std=0.05, cfg=CFG):
+    teacher = build_teacher(cfg, seed)
     run = RunConfig(seed=seed, gate_init=GateInit(mu_std=mu_std, seed=seed + 100))
     s = make_student(teacher, run)
     if mutate:
@@ -108,6 +110,36 @@ class TestEquivalence:
         dense = extract_dense(s)
         tk = rand_tokens(80, seed=11)
         np.testing.assert_allclose(dense.forward(tk), masked_logits(s, tk), atol=1e-5)
+
+    def test_causal_model(self):
+        _, s = make_binarized(seed=21, cfg=replace(CFG, causal=True), mutate=lambda s: (
+            drop(s.gates.width, [2, 5]), drop(s.gates.heads[1], [0])))
+        dense = extract_dense(s)
+        tk = rand_tokens(80, seed=22)
+        np.testing.assert_allclose(dense.forward(tk), masked_logits(s, tk), atol=1e-5)
+
+    def test_alive_mha_with_every_head_dropped(self):
+        _, s = make_binarized(seed=23, mutate=lambda s: drop(s.gates.heads[0], [0, 1]))
+        dense = extract_dense(s)
+        assert dense.layers[0].mha_alive and dense.layers[0].head_idx.size == 0
+        tk = rand_tokens(60, seed=24)
+        np.testing.assert_allclose(dense.forward(tk), masked_logits(s, tk), atol=1e-5)
+
+
+class TestDenseForward:
+    def test_float32_repeatable_and_leaves_arrays_unchanged(self):
+        _, s = make_binarized(seed=25, mutate=lambda s: (
+            drop(s.gates.width, [1, 7]), drop(s.gates.out[0], [3, 4])))
+        dense = extract_dense(s)
+        tables = [dense.arrays] + [lay.arrays for lay in dense.layers]
+        before = [{k: v.copy() for k, v in t.items()} for t in tables]
+        tk = rand_tokens(40, seed=26)
+        first, second = dense.forward(tk), dense.forward(tk)
+        assert first.dtype == np.float32
+        np.testing.assert_array_equal(first, second)
+        for table, saved in zip(tables, before):
+            for k, v in saved.items():
+                np.testing.assert_array_equal(table[k], v, err_msg=k)
 
 
 class TestContracts:

@@ -146,6 +146,15 @@ class TestFreezePolicies:
         assert frozen_ok
         assert changed  # norm/bias parameters actually moved
 
+    def test_faster_prune_leaves_frozen_grads_empty(self, teacher, dataset):
+        s = make_student(teacher, quick_run_cfg())
+        prune_phase(s, teacher, dataset,
+                    quick_run_cfg(variant="faster", subset_fraction=0.25))
+        pol = FreezePolicy.for_variant("faster", "prune")
+        frozen = [p for n, p in s.named_params() if not pol.trainable(n)]
+        assert frozen
+        assert all(p.grad is None and not p.requires_grad for p in frozen)
+
     def test_vtrans_requires_full_data(self):
         with pytest.raises(ContractError):
             quick_run_cfg(variant="vtrans", subset_fraction=0.5)

@@ -21,7 +21,6 @@ from vibprune.tensor import (
     mul,
     no_grad,
     parameter,
-    primitive_forward,
     scale,
     sigmoid,
     slice_lastdim,
@@ -43,7 +42,7 @@ class TestForwardValues:
     def test_matmul_identity(self):
         a = constant([[1.0, 2.0], [3.0, 4.0]])
         eye = constant(np.eye(2))
-        out = primitive_forward("matmul", [a, eye])
+        out = matmul(a, eye)
         np.testing.assert_array_equal(out.data, a.data)
 
     def test_softmax_symmetry(self):
@@ -83,9 +82,61 @@ class TestForwardValues:
         with pytest.raises(NumericError, match="exp"):
             texp(constant([1e9]))
 
-    def test_unknown_primitive(self):
-        with pytest.raises(ContractError):
-            primitive_forward("conv2d", [])
+
+# a float32 result may differ from the float64 reference by a few roundings
+_F32_TOL = 4 * np.finfo(np.float32).eps
+
+
+def _close_to_f32(out, ref):
+    assert out.dtype == np.float32
+    err = np.abs(out.astype(np.float64) - ref) / np.maximum(1.0, np.abs(ref))
+    assert err.max() <= _F32_TOL, err.max()
+
+
+class TestKernels:
+    """The shared array kernels against float64 references of the formulas
+    they replace."""
+
+    def test_gelu_matches_cube_formula(self):
+        x = np.linspace(-20.0, 20.0, 40001).astype(np.float32)  # tanh saturates
+        x64 = x.astype(np.float64)
+        ref = 0.5 * x64 * (1.0 + np.tanh(T._GELU_K0 * (x64 + T._GELU_K1 * x64**3)))
+        out, t = T._gelu(x)
+        _close_to_f32(out, ref)
+        assert t.dtype == np.float32
+        assert out[0] == 0.0 and out[-1] == np.float32(20.0)
+
+    def test_softmax_matches_reference(self):
+        x = rnd((64, 33), seed=40, lo=-20.0, hi=20.0)
+        x64 = x.astype(np.float64)
+        e = np.exp(x64 - x64.max(axis=-1, keepdims=True))
+        _close_to_f32(T._softmax(x), e / e.sum(axis=-1, keepdims=True))
+
+    def test_normalize_matches_reference(self):
+        x = rnd((64, 33), seed=41, lo=-20.0, hi=20.0)
+        x64 = x.astype(np.float64)
+        ref = (x64 - x64.mean(axis=-1, keepdims=True)) / np.sqrt(
+            x64.var(axis=-1, keepdims=True) + T._LN_EPS)
+        y, inv = T._normalize(x)
+        _close_to_f32(y, ref)
+        assert inv.dtype == np.float32
+
+    def test_normalize_width_counts_missing_dims_as_zeros(self):
+        x = rnd((5, 6, 9), seed=42)
+        padded = np.concatenate([x, np.zeros((5, 6, 4), dtype=np.float32)], axis=-1)
+        y, _ = T._normalize(x, width=13)
+        y_pad, _ = T._normalize(padded)
+        np.testing.assert_allclose(y, y_pad[..., :9], rtol=0, atol=_F32_TOL)
+
+    def test_float64_stays_float64(self):
+        x = rnd((4, 7), seed=43).astype(np.float64)
+        arrays = (*T._gelu(x), T._softmax(x), *T._normalize(x), *T._normalize(x, 9))
+        assert all(a.dtype == np.float64 for a in arrays)
+        for prim in (gelu, softmax_lastdim, layer_norm_lastdim):
+            p = parameter(x, dtype=np.float64)
+            y = prim(p)
+            backward(tsum(mul(y, constant(x, dtype=np.float64))))
+            assert y.data.dtype == np.float64 and p.grad.dtype == np.float64
 
 
 class TestBackwardBasics:
