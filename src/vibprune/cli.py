@@ -292,7 +292,7 @@ def cmd_train_teacher(args):
     run = settings.run_config()
     ds = _dataset(settings, args)
     save_dataset(ds, os.path.join(out, "dataset.bin"))
-    writer = MetricsWriter(os.path.join(out, "metrics.jsonl"))
+    writer = MetricsWriter(os.path.join(out, "teacher.metrics.jsonl"))
     teacher = train_teacher(settings.model_config(), ds, run, metrics_cb=writer)
     writer.close()
     save_tensors(model_tensors(teacher), os.path.join(out, "teacher.ckpt"))
@@ -314,7 +314,7 @@ def cmd_prune(args):
     ds = _dataset(settings, args)
     student = make_student(teacher, run)
     distill = DistillConfig(eta=run.eta, width=settings.model_config().width)
-    writer = MetricsWriter(os.path.join(out, "metrics.jsonl"))
+    writer = MetricsWriter(os.path.join(out, "prune.metrics.jsonl"))
     controller, metrics = prune_phase(student, teacher, ds, run, distill,
                                       metrics_cb=writer)
     writer.close()
@@ -337,7 +337,7 @@ def cmd_finetune(args):
     student, distill = _load_student_ckpt(settings, run, args.student)
     binarize(student, run.tau)
     ds = _dataset(settings, args)
-    writer = MetricsWriter(os.path.join(out, "metrics.jsonl"))
+    writer = MetricsWriter(os.path.join(out, "finetune.metrics.jsonl"))
     finetune_phase(student, teacher, ds, run, distill, metrics_cb=writer)
     writer.close()
     save_tensors(model_tensors(student, distill),

@@ -29,6 +29,14 @@ from .objective import flops_from_sums
 from .tensor import _gelu, _normalize, _softmax
 
 
+def _widen(a: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """`a` with its last-axis entries at positions `idx` of a zero last axis
+    of length n."""
+    out = np.zeros(a.shape[:-1] + (n,), dtype=a.dtype)
+    out[..., idx] = a
+    return out
+
+
 @dataclass
 class DenseLayer:
     mha_alive: bool
@@ -86,12 +94,11 @@ class DenseModel:
             if lay.ffn_alive:
                 xn2 = self._norm(x, w["ln2.weight"], w["ln2.bias"])
                 mid, _ = _gelu(xn2 @ w["wu.weight"] + w["wu.bias"])
-                out = mid @ w["wd.weight"] + w["wd.bias"]
-                # an indexed add on the last axis is far slower than a plain one
-                if lay.out_idx.size == self.d_kept:
-                    x += out
-                else:
-                    x[..., lay.out_idx] += out
+                # wd widened with zero columns for the dropped outputs, so the
+                # residual is a plain add: an indexed add on the stream's last
+                # axis costs far more than the zero columns' products
+                x += (mid @ _widen(w["wd.weight"], lay.out_idx, self.d_kept)
+                      + _widen(w["wd.bias"], lay.out_idx, self.d_kept))
         pooled = self._norm(x[:, -1 if c.causal else 0, :])
         return pooled @ a["cls.weight"] + a["cls.bias"]
 

@@ -128,7 +128,7 @@ class TestCommandChain:
                        "--dataset", os.path.join(t_dir, "dataset.bin")], capsys)
         assert 0.0 <= r["s_e"] <= 1.0
         metrics = [json.loads(l) for l in
-                   open(os.path.join(p_dir, "metrics.jsonl"))]
+                   open(os.path.join(p_dir, "prune.metrics.jsonl"))]
         assert all(np.isfinite(m["loss_total"]) for m in metrics)
 
         r = self._run(["finetune", "--config", cfg, "--out", f_dir,
@@ -160,19 +160,26 @@ class TestCommandChain:
         np.testing.assert_array_equal(mat, mat.T)
 
     def test_rerun_replaces_metrics(self, workdir, capsys):
+        """A rerun replaces its own stage's log and keeps the other stages'
+        logs in the same --out."""
         cfg = str(workdir / "run.cfg")
-        t_dir = str(workdir / "teacher")
-        out = str(workdir / "prune_twice")
+        out = str(workdir / "shared_out")
+        self._run(["train-teacher", "--config", cfg, "--out", out], capsys)
+        with open(os.path.join(out, "teacher.metrics.jsonl")) as f:
+            teacher_log = f.read()
         runs = []
         for _ in range(2):
             self._run(["prune", "--config", cfg, "--out", out,
-                       "--teacher", os.path.join(t_dir, "teacher.ckpt"),
-                       "--dataset", os.path.join(t_dir, "dataset.bin")], capsys)
-            with open(os.path.join(out, "metrics.jsonl")) as f:
+                       "--teacher", os.path.join(out, "teacher.ckpt"),
+                       "--dataset", os.path.join(out, "dataset.bin")], capsys)
+            with open(os.path.join(out, "prune.metrics.jsonl")) as f:
                 runs.append([json.loads(l) for l in f])
         assert runs[1] == runs[0]
         steps = [m["step"] for m in runs[1] if "val_accuracy" not in m]
         assert steps == list(range(len(steps)))
+        with open(os.path.join(out, "teacher.metrics.jsonl")) as f:
+            assert f.read() == teacher_log
+        assert teacher_log and not os.path.exists(os.path.join(out, "metrics.jsonl"))
 
     def test_eval_teacher_smoke(self, workdir, capsys):
         cfg = str(workdir / "run.cfg")

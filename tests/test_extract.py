@@ -125,6 +125,15 @@ class TestEquivalence:
         tk = rand_tokens(60, seed=24)
         np.testing.assert_allclose(dense.forward(tk), masked_logits(s, tk), atol=1e-5)
 
+    @pytest.mark.parametrize("dropped", [[2, 5, 11], list(range(CFG.width))])
+    def test_alive_ffn_writing_part_or_none_of_the_width(self, dropped):
+        _, s = make_binarized(seed=27, mutate=lambda s: drop(s.gates.out[1], dropped))
+        dense = extract_dense(s)
+        lay = dense.layers[1]
+        assert lay.ffn_alive and lay.out_idx.size == CFG.width - len(dropped)
+        tk = rand_tokens(60, seed=28)
+        np.testing.assert_allclose(dense.forward(tk), masked_logits(s, tk), atol=1e-5)
+
 
 class TestDenseForward:
     def test_float32_repeatable_and_leaves_arrays_unchanged(self):
