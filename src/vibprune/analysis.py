@@ -9,9 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DataError
-from .extract import DenseModel
-from .gates import effective_hard
-from .model import GatedTransformer, forward
+from .extract import kept_structure
+from .model import GatedTransformer, forward, structure
 from .tensor import no_grad
 
 
@@ -23,17 +22,8 @@ class AttentionStats:
 
 def _alive_heads(model: GatedTransformer, tau: float):
     """(layer, head) pairs that still exist after masking."""
-    c = model.config
-    pairs = []
-    for i in range(c.layers):
-        if model.gates is not None:
-            if effective_hard(model.gates.layer_mha[i], tau)[0] == 0.0:
-                continue
-            keep = effective_hard(model.gates.heads[i], tau)
-        else:
-            keep = np.ones(c.heads)
-        pairs.extend((i, h) for h in range(c.heads) if keep[h] > 0)
-    return pairs
+    return [(i, int(h)) for i, heads in enumerate(structure(model, tau).heads)
+            for h in heads]
 
 
 def _collect_probs(model: GatedTransformer, tokens: np.ndarray, tau: float,
@@ -124,35 +114,16 @@ def head_js(model: GatedTransformer, tokens: np.ndarray,
 
 
 def pruning_pattern(model) -> dict:
-    """Kept-unit ratios per layer plus the global kept width share."""
-    if isinstance(model, DenseModel):
-        c = model.orig
-        layers = [{
-            "heads_ratio": lay.head_idx.size / c.heads,
-            "inter_ratio": lay.inter_idx.size / c.ffn_dim,
-            "out_ratio": lay.out_idx.size / c.width,
-            "mha_alive": bool(lay.mha_alive),
-            "ffn_alive": bool(lay.ffn_alive),
-        } for lay in model.layers]
-        return {"width_ratio": model.d_kept / c.width, "layers": layers}
-    if isinstance(model, GatedTransformer):
-        if model.gates is None:
-            raise ContractError("pruning_pattern: teacher has no masks")
-        c = model.config
-        g = model.gates
-        hm = effective_hard(g.width, 0.0)
-        layers = []
-        for i in range(c.layers):
-            mha = bool(effective_hard(g.layer_mha[i], 0.0)[0])
-            ffn = bool(effective_hard(g.layer_ffn[i], 0.0)[0])
-            out_kept = (effective_hard(g.out[i], 0.0).astype(bool)
-                        & hm.astype(bool)).sum()
-            layers.append({
-                "heads_ratio": float(effective_hard(g.heads[i], 0.0).sum()) / c.heads,
-                "inter_ratio": float(effective_hard(g.inter[i], 0.0).sum()) / c.ffn_dim,
-                "out_ratio": float(out_kept) / c.width,
-                "mha_alive": mha,
-                "ffn_alive": ffn,
-            })
-        return {"width_ratio": float(hm.sum()) / c.width, "layers": layers}
-    raise ContractError("pruning_pattern: unsupported model type")
+    """Kept-unit ratios per layer plus the global kept width share; a dead
+    sub-layer keeps no units."""
+    if isinstance(model, GatedTransformer) and model.gates is None:
+        raise ContractError("pruning_pattern: teacher has no masks")
+    c, st = kept_structure(model)
+    layers = [{
+        "heads_ratio": h.size / c.heads,
+        "inter_ratio": i.size / c.ffn_dim,
+        "out_ratio": o.size / c.width,
+        "mha_alive": m,
+        "ffn_alive": f,
+    } for h, i, o, m, f in zip(st.heads, st.inter, st.out, st.mha, st.ffn)]
+    return {"width_ratio": st.width.size / c.width, "layers": layers}

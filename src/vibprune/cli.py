@@ -18,9 +18,8 @@ import numpy as np
 from . import analysis
 from .checkpoint import load_tensors, save_tensors
 from .data import Dataset, TaskSpec, generate, load_dataset, save_dataset
-from .errors import ConfigError, ContractError, VibError
+from .errors import ConfigError, FormatError, VibError
 from .extract import (
-    DenseLayer,
     DenseModel,
     extract_dense,
     flop_count,
@@ -28,7 +27,14 @@ from .extract import (
     sparsity_report,
 )
 from .gates import GateInit
-from .model import GatedTransformer, GateSet, ModelConfig, build_teacher, default_betas
+from .model import (
+    GatedTransformer,
+    GateSet,
+    ModelConfig,
+    Structure,
+    build_teacher,
+    default_betas,
+)
 from .objective import (
     CountModel,
     DistillConfig,
@@ -64,7 +70,6 @@ _SCHEMA = {
     "model.ffn_dim": (int, 64),
     "model.num_classes": (int, 2),
     "model.causal": (bool, False),
-    "model.dropout": (float, 0.0),
     "data.kind": (str, "majority_pair"),
     "data.seq": (int, 18),
     "data.n_train": (int, 1600),
@@ -154,8 +159,7 @@ class Settings:
             vocab_size=v["model.vocab_size"], max_seq=v["model.max_seq"],
             width=v["model.width"], layers=v["model.layers"],
             heads=v["model.heads"], ffn_dim=v["model.ffn_dim"],
-            num_classes=v["model.num_classes"], causal=v["model.causal"],
-            dropout=v["model.dropout"])
+            num_classes=v["model.num_classes"], causal=v["model.causal"])
 
     def task_spec(self) -> TaskSpec:
         v = self.v
@@ -226,27 +230,21 @@ def load_model(config: ModelConfig, run: RunConfig, tensors: dict,
 def dense_tensors(dense: DenseModel) -> dict:
     out = dict(dense.arrays)
     for i, lay in enumerate(dense.layers):
-        for k, v in lay.arrays.items():
+        for k, v in lay.items():
             out[f"layer.{i}.{k}"] = v
     return out
 
 
 def load_dense(config: ModelConfig, tensors: dict, report: dict) -> DenseModel:
-    st = report["structure"]
-    width_idx = np.asarray(st["width_idx"], dtype=int)
-    layers = []
-    for i in range(config.layers):
-        arrays = {k.split(".", 2)[2]: v for k, v in tensors.items()
-                  if k.startswith(f"layer.{i}.")}
-        layers.append(DenseLayer(
-            mha_alive=report["layers_kept"]["mha"][i],
-            ffn_alive=report["layers_kept"]["ffn"][i],
-            head_idx=np.asarray(st["head_idx"][i], dtype=int),
-            inter_idx=np.asarray(st["inter_idx"][i], dtype=int),
-            out_idx=np.asarray(st["out_idx"][i], dtype=int),
-            arrays=arrays))
+    """The dense model whose arrays `tensors` holds and whose kept units the
+    `structure` entry of its report `dense.json` holds."""
+    st = Structure.from_json(report.get("structure") if isinstance(report, dict)
+                             else None, config,
+                             {k: v.shape for k, v in tensors.items()})
+    layers = [{k.split(".", 2)[2]: v for k, v in tensors.items()
+               if k.startswith(f"layer.{i}.")} for i in range(config.layers)]
     top = {k: v for k, v in tensors.items() if not k.startswith("layer.")}
-    return DenseModel(config, width_idx, layers, top)
+    return DenseModel(config, st, layers, top)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +374,15 @@ def cmd_extract(args):
 def _load_any_model(settings, run, args):
     """teacher/student/dense checkpoint, whichever was given."""
     if getattr(args, "dense", None):
-        with open(args.dense_report or
-                  os.path.join(os.path.dirname(args.dense), "dense.json")) as f:
-            report = json.load(f)
+        path = args.dense_report or os.path.join(os.path.dirname(args.dense),
+                                                 "dense.json")
+        if not os.path.exists(path):
+            raise ConfigError(f"dense report not found: {path}")
+        with open(path) as f:
+            try:
+                report = json.load(f)
+            except ValueError as e:
+                raise FormatError(f"{path}: not JSON: {e}")
         return load_dense(settings.model_config(), load_tensors(args.dense), report)
     if getattr(args, "student", None):
         student, _ = _load_student_ckpt(settings, run, args.student)

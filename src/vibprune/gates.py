@@ -90,23 +90,15 @@ def new_gate(unit_count: int, site: Site, beta: float, init: GateInit) -> VibGat
     return VibGate(unit_count, site, beta, mu, log_sigma)
 
 
-def sample_mask(gate: VibGate, epsilon, mode: str = "stochastic") -> Tensor:
-    """Mask tensor of shape (batch, seq, unit_count), differentiable in mu/log_sigma.
-
-    stochastic: mu + eps * sigma with eps supplied by the caller.
-    mean: mu broadcast over batch and sequence (eps only fixes the shape).
-    """
+def sample_mask(gate: VibGate, epsilon) -> Tensor:
+    """Mask tensor mu + eps * sigma of shape (batch, seq, unit_count), with eps
+    supplied by the caller; differentiable in mu/log_sigma."""
     eps = np.asarray(epsilon, dtype=np.float32)
     if eps.ndim != 3 or eps.shape[-1] != gate.unit_count:
         raise ShapeError(
             f"sample_mask: epsilon shape {eps.shape} does not match "
             f"(batch, seq, {gate.unit_count})"
         )
-    if mode == "mean":
-        ones = constant(np.ones_like(eps))
-        return mul(ones, gate.mu)
-    if mode != "stochastic":
-        raise ContractError(f"sample_mask: unknown mode '{mode}'")
     noise = mul(constant(eps), texp(gate.log_sigma))
     return add(noise, gate.mu)
 

@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError, DataError
-from .gates import GateInit, Site, VibGate, eval_mask, new_gate, sample_mask
+from .errors import ContractError, DataError, FormatError
+from .gates import GateInit, Site, effective_hard, eval_mask, new_gate, sample_mask
 from .tensor import (
     Tensor,
     add,
@@ -49,7 +49,6 @@ class ModelConfig:
     ffn_dim: int
     num_classes: int
     causal: bool = False
-    dropout: float = 0.0
 
     def __post_init__(self):
         dims = (self.vocab_size, self.max_seq, self.width, self.layers,
@@ -60,8 +59,6 @@ class ModelConfig:
             raise ContractError(
                 f"ModelConfig: width {self.width} not divisible by heads {self.heads}"
             )
-        if not (0.0 <= self.dropout < 1.0):
-            raise ContractError("ModelConfig: dropout must be in [0, 1)")
 
     @property
     def head_dim(self) -> int:
@@ -130,38 +127,150 @@ def default_betas(config: ModelConfig, beta_global: float = 1e-3) -> dict:
     }
 
 
+_NONE = np.zeros(0, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class Structure:
+    """The units that survive the hard masks, as sorted indices into the
+    original grid. A dead sub-layer keeps no units: its indices are empty.
+    Extraction, finetuning, accounting and the probes all read this one value.
+    """
+
+    width: np.ndarray       # kept width dims
+    heads: tuple            # per layer: kept attention heads
+    inter: tuple            # per layer: kept FFN intermediate units
+    out: tuple              # per layer: kept FFN output dims, a subset of `width`
+    mha: tuple              # per layer: is the attention sub-layer alive
+    ffn: tuple              # per layer: is the FFN sub-layer alive
+
+    @staticmethod
+    def full(config: ModelConfig) -> "Structure":
+        c, alive = config, (True,) * config.layers
+        return Structure(np.arange(c.width), (np.arange(c.heads),) * c.layers,
+                         (np.arange(c.ffn_dim),) * c.layers,
+                         (np.arange(c.width),) * c.layers, alive, alive)
+
+    def keep_sums(self):
+        """(s_m, per-layer (lm, lf, s_heads, s_inter, s_out)): the kept counts
+        as floats, in the form the cost polynomial takes."""
+        per_layer = [(float(m), float(f), float(h.size), float(i.size), float(o.size))
+                     for m, f, h, i, o in zip(self.mha, self.ffn, self.heads,
+                                              self.inter, self.out)]
+        return float(self.width.size), per_layer
+
+    def array_shapes(self, config: ModelConfig) -> dict:
+        """Shape of every parameter array the structure keeps, by name; the
+        full structure gives the teacher's parameters."""
+        c, d = config, self.width.size
+        shapes = {"emb.tok": (c.vocab_size, d), "emb.pos": (c.max_seq, d),
+                  "cls.weight": (d, c.num_classes), "cls.bias": (c.num_classes,)}
+        for i in range(c.layers):
+            p = f"layer.{i}."
+            if self.mha[i]:
+                a = self.heads[i].size * c.head_dim
+                shapes[p + "ln1.weight"] = (d,)
+                shapes[p + "ln1.bias"] = (d,)
+                for w in ("wq", "wk", "wv"):
+                    shapes[p + w + ".weight"] = (d, a)
+                    shapes[p + w + ".bias"] = (a,)
+                shapes[p + "wo.weight"] = (a, d)
+                shapes[p + "wo.bias"] = (d,)
+            if self.ffn[i]:
+                n, o = self.inter[i].size, self.out[i].size
+                shapes[p + "ln2.weight"] = (d,)
+                shapes[p + "ln2.bias"] = (d,)
+                shapes[p + "wu.weight"] = (d, n)
+                shapes[p + "wu.bias"] = (n,)
+                shapes[p + "wd.weight"] = (n, o)
+                shapes[p + "wd.bias"] = (o,)
+        return shapes
+
+    def to_json(self) -> dict:
+        return {"width": self.width.tolist(),
+                "heads": [h.tolist() for h in self.heads],
+                "inter": [i.tolist() for i in self.inter],
+                "out": [o.tolist() for o in self.out],
+                "mha": list(self.mha), "ffn": list(self.ffn)}
+
+    @staticmethod
+    def from_json(obj, config: ModelConfig, shapes: dict) -> "Structure":
+        """The structure `to_json` wrote, checked against `config` and against
+        `shapes`, the array shapes of the checkpoint it describes. Any
+        mismatch is a FormatError."""
+        keys = ("width", "heads", "inter", "out", "mha", "ffn")
+        if not isinstance(obj, dict) or any(k not in obj for k in keys):
+            raise FormatError(f"structure: expected an object with keys {keys}")
+
+        def per_layer(key):
+            v = obj[key]
+            if not isinstance(v, list) or len(v) != config.layers:
+                raise FormatError(f"structure: '{key}' needs one entry per layer")
+            return v
+
+        def indices(v, n, what):
+            if not isinstance(v, list) or any(type(i) is not int for i in v):
+                raise FormatError(f"structure: '{what}' is not a list of integers")
+            if any(not 0 <= i < n for i in v):
+                raise FormatError(f"structure: '{what}' has an index outside [0, {n})")
+            if any(a >= b for a, b in zip(v, v[1:])):
+                raise FormatError(f"structure: '{what}' is not sorted and unique")
+            return np.asarray(v, dtype=np.int64)
+
+        c = config
+        mha, ffn = per_layer("mha"), per_layer("ffn")
+        if any(type(f) is not bool for f in mha + ffn):
+            raise FormatError("structure: 'mha' and 'ffn' must hold true or false")
+        st = Structure(
+            indices(obj["width"], c.width, "width"),
+            tuple(indices(v, c.heads, f"heads.{i}")
+                  for i, v in enumerate(per_layer("heads"))),
+            tuple(indices(v, c.ffn_dim, f"inter.{i}")
+                  for i, v in enumerate(per_layer("inter"))),
+            tuple(indices(v, c.width, f"out.{i}")
+                  for i, v in enumerate(per_layer("out"))),
+            tuple(mha), tuple(ffn))
+        for i in range(c.layers):
+            if not np.isin(st.out[i], st.width).all():
+                raise FormatError(f"structure: 'out.{i}' keeps a dim outside 'width'")
+            if ((not mha[i] and st.heads[i].size)
+                    or (not ffn[i] and (st.inter[i].size or st.out[i].size))):
+                raise FormatError(f"structure: layer {i} keeps units of a dead sub-layer")
+        want = st.array_shapes(c)
+        for name in sorted(set(want) | set(shapes)):
+            if want.get(name) != shapes.get(name):
+                raise FormatError(f"structure: array '{name}' has shape "
+                                  f"{shapes.get(name)}, the structure needs {want.get(name)}")
+        return st
+
+
+def structure(model: GatedTransformer, tau: float) -> Structure:
+    """The kept units under the hard masks (the frozen ones once binarized).
+    Each gate's mask is evaluated at most once; an ungated model keeps all."""
+    c, g = model.config, model.gates
+    if g is None:
+        return Structure.full(c)
+    hm = effective_hard(g.width, tau) > 0
+    heads, inter, out, mha, ffn = [], [], [], [], []
+    for i in range(c.layers):
+        lm = bool(effective_hard(g.layer_mha[i], tau)[0])
+        lf = bool(effective_hard(g.layer_ffn[i], tau)[0])
+        heads.append(np.flatnonzero(effective_hard(g.heads[i], tau)) if lm else _NONE)
+        inter.append(np.flatnonzero(effective_hard(g.inter[i], tau)) if lf else _NONE)
+        out.append(np.flatnonzero((effective_hard(g.out[i], tau) > 0) & hm)
+                   if lf else _NONE)
+        mha.append(lm)
+        ffn.append(lf)
+    return Structure(np.flatnonzero(hm), tuple(heads), tuple(inter), tuple(out),
+                     tuple(mha), tuple(ffn))
+
+
 class GatedTransformer:
     def __init__(self, config: ModelConfig):
         self.config = config
         self.params: dict[str, Tensor] = {}
         self.gates: Optional[GateSet] = None
         self.binarized = False
-
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def param_shapes(config: ModelConfig) -> dict:
-        c = config
-        shapes = {
-            "emb.tok": (c.vocab_size, c.width),
-            "emb.pos": (c.max_seq, c.width),
-            "cls.weight": (c.width, c.num_classes),
-            "cls.bias": (c.num_classes,),
-        }
-        for i in range(c.layers):
-            p = f"layer.{i}."
-            shapes[p + "ln1.weight"] = (c.width,)
-            shapes[p + "ln1.bias"] = (c.width,)
-            for w in ("wq", "wk", "wv", "wo"):
-                shapes[p + w + ".weight"] = (c.width, c.width)
-                shapes[p + w + ".bias"] = (c.width,)
-            shapes[p + "ln2.weight"] = (c.width,)
-            shapes[p + "ln2.bias"] = (c.width,)
-            shapes[p + "wu.weight"] = (c.width, c.ffn_dim)
-            shapes[p + "wu.bias"] = (c.ffn_dim,)
-            shapes[p + "wd.weight"] = (c.ffn_dim, c.width)
-            shapes[p + "wd.bias"] = (c.width,)
-        return shapes
 
     def named_params(self):
         for name in sorted(self.params):
@@ -179,7 +288,7 @@ def build_teacher(config: ModelConfig, seed: int) -> GatedTransformer:
     """Ungated model with scaled-normal (std 0.02) weight init."""
     m = GatedTransformer(config)
     rng = np.random.default_rng(seed)
-    for name, shape in GatedTransformer.param_shapes(config).items():
+    for name, shape in Structure.full(config).array_shapes(config).items():
         if name.endswith(".bias"):
             init = np.zeros(shape)
         elif ".ln1." in name or ".ln2." in name:
@@ -205,35 +314,29 @@ def build_student(teacher: GatedTransformer, gate_init: GateInit,
 
 
 class _MaskPack:
-    """Per-step gate masks in the form the forward pass consumes."""
+    """Per-step gate masks in the form the forward pass consumes; an ungated
+    model has no masks (every one is None)."""
 
-    def __init__(self, model: GatedTransformer, mode: str, rng, tau: float):
-        c = model.config
-        g = model.gates
-        self.identity = g is None
-        if self.identity:
+    def __init__(self, model: GatedTransformer, mode: str, rng, tau: float,
+                 batch: int, seqlen: int):
+        c, g = model.config, model.gates
+        if g is None:
+            self.width = None
+            self.heads = self.inter = self.out = [None] * c.layers
+            self.lmha = self.lffn = [None] * c.layers
             return
-        self.train = mode == "train" and not model.binarized
-        if self.train and rng is None:
-            raise ContractError("forward: train mode needs an rng for gate noise")
-        self._rng = rng
-        self._tau = tau
-        self._g = g
-        self._c = c
-
-    def build(self, batch: int, seqlen: int):
-        if self.identity:
-            return
-        c, g = self._c, self._g
         dh = c.head_dim
-        if self.train:
+        if mode == "train" and not model.binarized:
+            if rng is None:
+                raise ContractError("forward: train mode needs an rng for gate noise")
+
             def draw(gate, per_sample=False):
                 if per_sample:
-                    e = self._rng.standard_normal((batch, 1, gate.unit_count))
+                    e = rng.standard_normal((batch, 1, gate.unit_count))
                     e = np.repeat(e, seqlen, axis=1)
                 else:
-                    e = self._rng.standard_normal((batch, seqlen, gate.unit_count))
-                return sample_mask(gate, e.astype(np.float32), "stochastic")
+                    e = rng.standard_normal((batch, seqlen, gate.unit_count))
+                return sample_mask(gate, e.astype(np.float32))
 
             head_expand = np.zeros((c.heads, c.width), dtype=np.float32)
             for h in range(c.heads):
@@ -248,33 +351,19 @@ class _MaskPack:
             self.lffn = [matmul(draw(gl, True), one_row) for gl in g.layer_ffn]
         else:
             def vec(gate):
-                return constant(eval_mask(gate, self._tau))
+                return constant(eval_mask(gate, tau))
 
             self.width = vec(g.width)
-            self.heads = [constant(np.repeat(eval_mask(gh, self._tau), dh))
-                          for gh in g.heads]
+            self.heads = [constant(np.repeat(eval_mask(gh, tau), dh)) for gh in g.heads]
             self.inter = [vec(gi) for gi in g.inter]
             self.out = [vec(go) for go in g.out]
             self.lmha = [vec(gl) for gl in g.layer_mha]
             self.lffn = [vec(gl) for gl in g.layer_ffn]
 
-    def apply_width(self, x):
-        return x if self.identity else mul(x, self.width)
 
-    def apply_heads(self, x, i):
-        return x if self.identity else mul(x, self.heads[i])
-
-    def apply_inter(self, x, i):
-        return x if self.identity else mul(x, self.inter[i])
-
-    def apply_out(self, x, i):
-        return x if self.identity else mul(x, self.out[i])
-
-    def apply_lmha(self, x, i):
-        return x if self.identity else mul(x, self.lmha[i])
-
-    def apply_lffn(self, x, i):
-        return x if self.identity else mul(x, self.lffn[i])
+def _gate(x: Tensor, mask: Optional[Tensor]) -> Tensor:
+    """`x` times a gate mask; without a mask, `x` itself."""
+    return x if mask is None else mul(x, mask)
 
 
 def forward(model: GatedTransformer, tokens: np.ndarray, mode: str = "eval",
@@ -292,14 +381,13 @@ def forward(model: GatedTransformer, tokens: np.ndarray, mode: str = "eval",
     if mode not in ("train", "eval"):
         raise ContractError(f"forward: unknown mode '{mode}'")
 
-    masks = _MaskPack(model, mode, rng, tau)
-    masks.build(batch, seqlen)
+    masks = _MaskPack(model, mode, rng, tau, batch, seqlen)
     p = model.params
     dh = c.head_dim
 
     pos = np.broadcast_to(np.arange(seqlen), (batch, seqlen))
     x = add(gather_rows(p["emb.tok"], tokens), gather_rows(p["emb.pos"], pos))
-    x = masks.apply_width(x)
+    x = _gate(x, masks.width)
     embedding_output = x
 
     hidden_states = []
@@ -309,7 +397,7 @@ def forward(model: GatedTransformer, tokens: np.ndarray, mode: str = "eval",
         # attention sub-layer
         xn = layer_norm_lastdim(x)
         xn = add(mul(xn, p[pre + "ln1.weight"]), p[pre + "ln1.bias"])
-        xr = masks.apply_width(xn)
+        xr = _gate(xn, masks.width)
         q = add(matmul(xr, p[pre + "wq.weight"]), p[pre + "wq.bias"])
         k = add(matmul(xr, p[pre + "wk.weight"]), p[pre + "wk.bias"])
         v = add(matmul(xr, p[pre + "wv.weight"]), p[pre + "wv.bias"])
@@ -326,24 +414,24 @@ def forward(model: GatedTransformer, tokens: np.ndarray, mode: str = "eval",
             probs_np.append(probs.data)
             heads_out.append(matmul(probs, vh))
         attention_probs.append(np.stack(probs_np, axis=1))
-        a = masks.apply_heads(concat_lastdim(heads_out), i)
+        a = _gate(concat_lastdim(heads_out), masks.heads[i])
         mha = add(matmul(a, p[pre + "wo.weight"]), p[pre + "wo.bias"])
-        mha = masks.apply_width(masks.apply_lmha(mha, i))
+        mha = _gate(_gate(mha, masks.lmha[i]), masks.width)
         x = add(x, mha)
 
         # feed-forward sub-layer
         xn2 = layer_norm_lastdim(x)
         xn2 = add(mul(xn2, p[pre + "ln2.weight"]), p[pre + "ln2.bias"])
-        xr2 = masks.apply_width(xn2)
+        xr2 = _gate(xn2, masks.width)
         mid = gelu(add(matmul(xr2, p[pre + "wu.weight"]), p[pre + "wu.bias"]))
-        mid = masks.apply_inter(mid, i)
+        mid = _gate(mid, masks.inter[i])
         ffn = add(matmul(mid, p[pre + "wd.weight"]), p[pre + "wd.bias"])
-        ffn = masks.apply_width(masks.apply_lffn(masks.apply_out(ffn, i), i))
+        ffn = _gate(_gate(_gate(ffn, masks.out[i]), masks.lffn[i]), masks.width)
         x = add(x, ffn)
         hidden_states.append(x)
 
     # parameter-free final norm, masked read, single-position pooling
-    xf = masks.apply_width(layer_norm_lastdim(x))
+    xf = _gate(layer_norm_lastdim(x), masks.width)
     sel = np.zeros((seqlen, 1), dtype=np.float32)
     sel[seqlen - 1 if c.causal else 0, 0] = 1.0
     pooled = transpose_last2(matmul(transpose_last2(xf), constant(sel)))  # (B,1,d)
@@ -351,10 +439,3 @@ def forward(model: GatedTransformer, tokens: np.ndarray, mode: str = "eval",
 
     return ForwardTrace(logits, hidden_states, attention_probs, embedding_output)
 
-
-def count_gated_units(model: GatedTransformer) -> tuple[int, int]:
-    """(number of gates, total gated units) for a student model."""
-    if model.gates is None:
-        return 0, 0
-    gs = model.gates.all()
-    return len(gs), sum(g.unit_count for g in gs)

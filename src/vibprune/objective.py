@@ -1,12 +1,11 @@
 """Training objective: task loss, gate information cost, dynamically matched
 distillation, and the Lagrangian-constrained expected-sparsity penalty.
 
-The sparsity accounting exists in two mirrored forms that must agree:
-a differentiable graph built from soft keep probabilities (used by the
-optimizer) and a plain numeric polynomial over keep counts (used for the
-dense-extraction oracle). Both count, per structural unit, the parameters
-or forward FLOPs that survive only if every gate unit covering them
-survives.
+The sparsity accounting is one polynomial, `kept_count`, over keep sums:
+soft keep probabilities as graph tensors for the optimizer, hard keep
+counts as floats for the dense-extraction oracle. It counts, per structural
+unit, the parameters or forward FLOPs that survive only if every gate unit
+covering them survives.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DegenerateModelError, ShapeError
-from .gates import effective_hard, kl_term, soft_keep
-from .model import GatedTransformer, ModelConfig
+from .gates import kl_term, soft_keep
+from .model import GatedTransformer, ModelConfig, Structure, structure
 from .tensor import (
     Tensor,
     add,
@@ -54,13 +53,9 @@ def cross_entropy(logits_t: Tensor, labels: np.ndarray) -> Tensor:
     return scale(tsum(tlog(add(picked, constant(_LOG_FLOOR)))), -1.0 / b)
 
 
-def pred_distill(student_logits: Tensor, teacher_logits: np.ndarray,
-                 direction: str = "forward") -> Tensor:
-    """Divergence between class distributions; gradients reach the student only.
-
-    forward: KL(student || teacher) -- the default.
-    reverse: KL(teacher || student).
-    """
+def pred_distill(student_logits: Tensor, teacher_logits: np.ndarray) -> Tensor:
+    """KL(student || teacher) between class distributions; gradients reach the
+    student only."""
     t = np.asarray(teacher_logits, dtype=np.float32)
     if t.shape != student_logits.shape:
         raise ShapeError(
@@ -72,21 +67,14 @@ def pred_distill(student_logits: Tensor, teacher_logits: np.ndarray,
     # identical primitive path as the student side, so equal logits give 0.0
     p_t = softmax_lastdim(constant(t)).data
     log_t = constant(np.log(p_t + np.float32(_LOG_FLOOR)))
-    if direction == "forward":
-        diff = add(log_s, scale(log_t, -1.0))
-        return scale(tsum(mul(p_s, diff)), 1.0 / b)
-    if direction == "reverse":
-        const_part = float((p_t * np.log(p_t + _LOG_FLOOR)).sum() / b)
-        cross = scale(tsum(mul(constant(p_t.astype(np.float32)), log_s)), -1.0 / b)
-        return add(cross, constant(const_part))
-    raise ContractError(f"pred_distill: unknown direction '{direction}'")
+    diff = add(log_s, scale(log_t, -1.0))
+    return scale(tsum(mul(p_s, diff)), 1.0 / b)
 
 
 @dataclass
 class DistillConfig:
     eta: float = 0.5
     width: int = 0
-    teacher_layer_set: list | None = None   # None = every teacher layer
     w_layer: Tensor = None
 
     def __post_init__(self):
@@ -191,84 +179,70 @@ class CountModel:
     def build(config: ModelConfig, metric: str, seq_ref: int = 32) -> "CountModel":
         if metric not in ("parameters", "flops"):
             raise ContractError(f"CountModel: unknown metric '{metric}'")
-        ones = full_keep_sums(config)
-        if metric == "parameters":
-            base = params_from_sums(config, *ones)
-        else:
-            base = flops_from_sums(config, seq_ref, *ones)
+        base = kept_count(config, metric, seq_ref, *full_keep_sums(config))
         return CountModel(config, metric, seq_ref, float(base))
 
 
+def kept_count(cfg: ModelConfig, metric: str, seq: int, s_m, per_layer: list):
+    """Parameters or forward FLOPs (one example at sequence length `seq`) that
+    survive, from keep sums.
+
+    The sums are floats for the hard-mask count and graph Tensors for the
+    soft expected count; the same expression serves both, so the two agree by
+    construction. per_layer entries: (lm, lf, s_heads, s_inter, s_out), where
+    s_out sums keep_out * keep_width over width dims. A unit's cost counts only
+    if every gate covering it keeps it.
+
+    FLOPs convention: 2*m*n*k per matmul, one op per element for everything
+    else; embedding lookup free; attention score and context products carry
+    the kept-width fraction; the classifier bias add is excluded so full
+    masking reaches sparsity exactly 1.
+    """
+    # on Tensors each `+` and `*` is one graph node, so the grouping below is
+    # the training graph's; regrouping would change its float32 rounding
+    dh = cfg.head_dim
+    if metric == "parameters":
+        kept = s_m * float(cfg.vocab_size + cfg.max_seq + cfg.num_classes)
+        for lm, lf, s_a, s_i, s_om in per_layer:
+            mha = s_a * (s_m * (4.0 * dh) + 3.0 * dh) + s_m * 3.0
+            ffn = (s_m * s_i + s_i) + ((s_i * s_om + s_om) + s_m * 2.0)
+            kept = kept + (lm * mha + lf * ffn)
+        return kept
+    t = float(seq)
+    # embedding add + final norm + classifier matmul
+    kept = s_m * (2.0 * t + 2.0 * cfg.num_classes)
+    for lm, lf, s_a, s_i, s_om in per_layer:
+        mha = (
+            s_m * (3.0 * t)                                     # pre-norm + affine
+            + (s_a * ((s_m * (6.0 * t * dh) + 3.0 * t * dh)     # QKV matmuls + biases
+                      + (s_m * (4.0 * t * t * dh / cfg.width)   # scores + context
+                         + 2.0 * t * t))                        # scale + softmax
+               + (s_a * (s_m * (2.0 * t * dh))                  # output projection
+                  + s_m * (2.0 * t)))                           # its bias + residual
+        )
+        ffn = (
+            s_m * (3.0 * t)                                     # pre-norm + affine
+            + ((s_m * s_i * (2.0 * t) + s_i * (2.0 * t))        # up proj + bias, GELU
+               + (s_i * s_om * (2.0 * t) + s_om * (2.0 * t)))   # down proj + bias, residual
+        )
+        kept = kept + (lm * mha + lf * ffn)
+    return kept
+
+
 def full_keep_sums(config: ModelConfig):
-    per_layer = [(1.0, 1.0, float(config.heads), float(config.ffn_dim),
-                  float(config.width)) for _ in range(config.layers)]
-    return float(config.width), per_layer
+    return Structure.full(config).keep_sums()
 
 
 def params_from_sums(cfg: ModelConfig, s_m: float, per_layer: list) -> float:
-    """Surviving parameter count from keep sums.
-
-    per_layer entries: (lm, lf, s_heads, s_inter, s_out_and_width) where the
-    last is sum over width dims of keep_out * keep_width.
-    """
-    dh = cfg.head_dim
-    total = (cfg.vocab_size + cfg.max_seq) * s_m + cfg.num_classes * s_m
-    for lm, lf, s_a, s_i, s_om in per_layer:
-        mha = s_a * (4.0 * dh * s_m + 3.0 * dh) + 3.0 * s_m
-        ffn = s_m * s_i + s_i + s_i * s_om + s_om + 2.0 * s_m
-        total += lm * mha + lf * ffn
-    return total
+    return kept_count(cfg, "parameters", 0, s_m, per_layer)
 
 
 def flops_from_sums(cfg: ModelConfig, seq: int, s_m: float, per_layer: list) -> float:
-    """Surviving forward FLOPs (one example, the reference sequence length).
-
-    Convention: 2*m*n*k per matmul, one op per element for everything else;
-    embedding lookup free; attention score and context products carry the
-    kept-width fraction; the classifier bias add is excluded so full masking
-    reaches sparsity exactly 1.
-    """
-    dh = cfg.head_dim
-    d = cfg.width
-    t = float(seq)
-    total = t * s_m                      # token+position embedding add
-    for lm, lf, s_a, s_i, s_om in per_layer:
-        mha = (
-            3.0 * t * s_m                                  # pre-norm + affine
-            + s_a * (6.0 * t * dh * s_m + 3.0 * t * dh     # QKV matmuls + biases
-                     + 4.0 * t * t * dh * s_m / d          # scores + context
-                     + 2.0 * t * t)                        # scale + softmax
-            + 2.0 * t * dh * s_a * s_m                     # output projection
-            + 2.0 * t * s_m                                # its bias + residual
-        )
-        ffn = (
-            3.0 * t * s_m                                  # pre-norm + affine
-            + 2.0 * t * s_m * s_i + t * s_i                # up projection + bias
-            + t * s_i                                      # activation
-            + 2.0 * t * s_i * s_om + t * s_om              # down projection + bias
-            + t * s_om                                     # residual add
-        )
-        total += lm * mha + lf * ffn
-    total += t * s_m                                       # final norm
-    total += 2.0 * s_m * cfg.num_classes                   # classifier matmul
-    return total
+    return kept_count(cfg, "flops", seq, s_m, per_layer)
 
 
 def hard_keep_sums(model: GatedTransformer, tau: float):
-    """Keep sums from the current hard masks (numeric twin of the graph)."""
-    g = model.gates
-    if g is None:
-        return full_keep_sums(model.config)
-    m = effective_hard(g.width, tau)
-    per_layer = []
-    for i in range(model.config.layers):
-        lm = float(effective_hard(g.layer_mha[i], tau)[0])
-        lf = float(effective_hard(g.layer_ffn[i], tau)[0])
-        s_a = float(effective_hard(g.heads[i], tau).sum())
-        s_i = float(effective_hard(g.inter[i], tau).sum())
-        s_om = float((effective_hard(g.out[i], tau) * m).sum())
-        per_layer.append((lm, lf, s_a, s_i, s_om))
-    return float(m.sum()), per_layer
+    return structure(model, tau).keep_sums()
 
 
 def expected_sparsity(model: GatedTransformer, counts: CountModel, tau: float,
@@ -280,47 +254,16 @@ def expected_sparsity(model: GatedTransformer, counts: CountModel, tau: float,
     if (cfg.width, cfg.layers) != (counts.config.width, counts.config.layers):
         raise ContractError("expected_sparsity: counts built for another config")
     g = model.gates
-    dh = cfg.head_dim
-    d = cfg.width
-    t = float(counts.seq_ref)
 
-    k_m = soft_keep(g.width, tau, temperature)
-    s_m = tsum(k_m)
-    if counts.metric == "parameters":
-        kept = scale(s_m, float(cfg.vocab_size + cfg.max_seq + cfg.num_classes))
-    else:
-        # embedding add + final norm + classifier matmul
-        kept = scale(s_m, 2.0 * t + 2.0 * cfg.num_classes)
+    def kept(gate):
+        return soft_keep(gate, tau, temperature)
 
-    for i in range(cfg.layers):
-        lm = tsum(soft_keep(g.layer_mha[i], tau, temperature))
-        lf = tsum(soft_keep(g.layer_ffn[i], tau, temperature))
-        s_a = tsum(soft_keep(g.heads[i], tau, temperature))
-        s_i = tsum(soft_keep(g.inter[i], tau, temperature))
-        s_om = tsum(mul(soft_keep(g.out[i], tau, temperature), k_m))
-        if counts.metric == "parameters":
-            mha = add(mul(s_a, add(scale(s_m, 4.0 * dh), constant(3.0 * dh))),
-                      scale(s_m, 3.0))
-            ffn = add(add(mul(s_m, s_i), s_i),
-                      add(add(mul(s_i, s_om), s_om), scale(s_m, 2.0)))
-        else:
-            mha = add(
-                scale(s_m, 3.0 * t),
-                add(
-                    mul(s_a, add(add(scale(s_m, 6.0 * t * dh), constant(3.0 * t * dh)),
-                                 add(scale(s_m, 4.0 * t * t * dh / d),
-                                     constant(2.0 * t * t)))),
-                    add(mul(s_a, scale(s_m, 2.0 * t * dh)), scale(s_m, 2.0 * t)),
-                ),
-            )
-            ffn = add(
-                scale(s_m, 3.0 * t),
-                add(add(scale(mul(s_m, s_i), 2.0 * t), scale(s_i, 2.0 * t)),
-                    add(scale(mul(s_i, s_om), 2.0 * t), scale(s_om, 2.0 * t))),
-            )
-        kept = add(kept, add(mul(lm, mha), mul(lf, ffn)))
-
-    return add(constant(1.0), scale(kept, -1.0 / counts.total_base))
+    k_m = kept(g.width)
+    per_layer = [(tsum(kept(g.layer_mha[i])), tsum(kept(g.layer_ffn[i])),
+                  tsum(kept(g.heads[i])), tsum(kept(g.inter[i])),
+                  tsum(mul(kept(g.out[i]), k_m))) for i in range(cfg.layers)]
+    total = kept_count(cfg, counts.metric, counts.seq_ref, tsum(k_m), per_layer)
+    return add(constant(1.0), scale(total, -1.0 / counts.total_base))
 
 
 def sparsity_loss(controller: SparsityController, s_e: Tensor) -> Tensor:

@@ -12,7 +12,7 @@ and extraction turns the result into a physically smaller dense model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     NumericError,
 )
 from .extract import survival_masks
-from .gates import GateInit, hard_mask
+from .gates import GateInit, hard_mask, soft_keep
 from .model import (
     GatedTransformer,
     ModelConfig,
@@ -32,6 +32,7 @@ from .model import (
     build_teacher,
     default_betas,
     forward,
+    structure,
 )
 from .objective import (
     CountModel,
@@ -47,7 +48,6 @@ from .objective import (
     update_lagrangian,
     vib_loss,
 )
-from .gates import soft_keep
 from .tensor import backward, no_grad
 
 VARIANTS = ("vtrans", "fast", "faster")
@@ -89,42 +89,39 @@ class RunConfig:
             self.gate_init = GateInit(seed=self.seed)
 
 
-@dataclass
-class FreezePolicy:
-    trainable: callable
+# Which parameters a phase trains, by name; `_trainable` picks one predicate
+# by (variant, phase).
 
-    @staticmethod
-    def for_variant(variant: str, phase: str) -> "FreezePolicy":
-        if variant not in VARIANTS:
-            raise ContractError(f"FreezePolicy: unknown variant '{variant}'")
 
-        def norm_bias_only(name: str) -> bool:
-            return (".ln1." in name or ".ln2." in name or name.endswith(".bias")
-                    or name.startswith("gate.") or name == "distill.w_layer")
+def trains_everything(name: str) -> bool:
+    return True
 
-        def all_params(name: str) -> bool:
-            return True
 
-        def weights_only(name: str) -> bool:
-            return not name.startswith("gate.")
+def trains_weights(name: str) -> bool:
+    """Everything but the gates, which binarize froze."""
+    return not name.startswith("gate.")
 
-        if variant == "faster":
-            if phase == "finetune":
-                return FreezePolicy(lambda n: norm_bias_only(n) and not n.startswith("gate."))
-            return FreezePolicy(norm_bias_only)
-        if phase == "finetune":
-            return FreezePolicy(weights_only)
-        return FreezePolicy(all_params)
+
+def trains_norm_bias_gates(name: str) -> bool:
+    return (".ln1." in name or ".ln2." in name or name.endswith(".bias")
+            or name.startswith("gate.") or name == "distill.w_layer")
+
+
+def trains_norm_bias(name: str) -> bool:
+    return trains_norm_bias_gates(name) and trains_weights(name)
 
 
 def _trainable(student: GatedTransformer, distill: DistillConfig, variant: str,
                phase: str) -> list:
     """The (name, param) pairs a phase trains. Every other parameter stops
     requiring gradients, so backward fills no `.grad` the optimizer never reads."""
-    policy = FreezePolicy.for_variant(variant, phase)
+    if variant == "faster":
+        trains = trains_norm_bias_gates if phase == "prune" else trains_norm_bias
+    else:
+        trains = trains_everything if phase == "prune" else trains_weights
     named = list(student.named_params()) + [("distill.w_layer", distill.w_layer)]
     for n, p in named:
-        p.requires_grad = policy.trainable(n)
+        p.requires_grad = trains(n)
     return [(n, p) for n, p in named if p.requires_grad]
 
 
@@ -381,11 +378,8 @@ def binarize(student: GatedTransformer, tau: float) -> GatedTransformer:
         gate.frozen_hard = hard
         gate.mu.requires_grad = False
         gate.log_sigma.requires_grad = False
-    dead_layers = all(
-        g.layer_mha[i].frozen_hard[0] == 0.0 and g.layer_ffn[i].frozen_hard[0] == 0.0
-        for i in range(student.config.layers)
-    )
-    if dead_layers:
+    st = structure(student, tau)
+    if not any(st.mha + st.ffn):
         raise DegenerateModelError("binarize: every layer is dead")
     student.binarized = True
     return student
@@ -411,8 +405,7 @@ def finetune_phase(student: GatedTransformer, teacher: GatedTransformer,
     named = _trainable(student, distill, cfg.variant, "finetune")
     opt = AdamW(named, cfg.lr_weights, cfg.lr_gates)
 
-    alive = [bool(student.gates.layer_ffn[i].frozen_hard[0])
-             for i in range(c.layers)]
+    alive = list(structure(student, cfg.tau).ffn)
     if not any(alive):
         # all FFN sub-layers gone: hidden states are still defined, map to any
         alive = [True] * c.layers

@@ -86,6 +86,24 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
+    # `+` and `*` record the module-level primitives, looked up by name at
+    # call time, so one expression serves floats and graph tensors alike.
+    # A plain number becomes a `constant` addend or a `scale` factor. numpy
+    # scalars defer to these operators instead of broadcasting over a Tensor.
+    __array_ufunc__ = None
+
+    def __add__(self, other):
+        return add(self, other if isinstance(other, Tensor) else constant(other))
+
+    def __radd__(self, other):
+        return add(constant(other), self)
+
+    def __mul__(self, other):
+        return mul(self, other) if isinstance(other, Tensor) else scale(self, other)
+
+    def __rmul__(self, other):
+        return scale(self, other)
+
 
 def parameter(data, dtype=np.float32) -> Tensor:
     return Tensor(np.array(data, dtype=dtype), requires_grad=True)

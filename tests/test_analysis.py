@@ -144,10 +144,16 @@ class TestPruningPattern:
         s.gates.heads[0].mu.data[0] = 0.0
         s.gates.inter[1].mu.data[:5] = 0.0
         s.gates.out[0].mu.data[[0, 2]] = 0.0
+        s.gates.layer_ffn[0].mu.data[:] = 0.0      # dead FFN, units still gated on
+        s.gates.layer_mha[1].mu.data[:] = 0.0      # dead MHA, heads still gated on
         binarize(s, 0.0)
         pat = pruning_pattern(s)
         dense = extract_dense(s)
         rep = sparsity_report(dense, param_count(teacher), flop_count(teacher, 10), 10)
+        # a dead sub-layer keeps no units
+        assert rep["inter_kept_per_layer"][0] == rep["out_kept_per_layer"][0] == 0
+        assert rep["heads_kept_per_layer"] == [1, 0]
+        assert rep["inter_kept_per_layer"][1] == CFG.ffn_dim - 5
         assert pat["width_ratio"] == rep["d_kept"] / CFG.width
         for i, lay in enumerate(pat["layers"]):
             assert lay["heads_ratio"] == rep["heads_kept_per_layer"][i] / CFG.heads

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from vibprune.checkpoint import load_tensors, save_tensors
-from vibprune.cli import main, parse_config_file
+from vibprune.cli import Settings, dense_tensors, main, parse_config_file
 from vibprune.errors import ConfigError, FormatError
+from vibprune.extract import extract_dense, sparsity_report
+from vibprune.model import build_teacher
+from vibprune.pipeline import binarize, make_student
 
 TINY_CONFIG = """
 # tiny end-to-end configuration
@@ -203,6 +206,63 @@ class TestCommandChain:
         out = capsys.readouterr().out
         assert rc == 0, out
         assert out.count("PASS") == 5
+
+
+def _drop_structure(rep):
+    del rep["structure"]
+
+
+def _head_out_of_range(rep):
+    rep["structure"]["heads"][1][-1] = 2        # the config has 2 heads
+
+
+def _width_one_short(rep):
+    rep["structure"]["width"].pop()
+
+
+class TestBadDenseReport:
+    """A bad dense.json beside a good dense checkpoint: one categorized
+    stderr line and exit 1, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def dense_dir(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("dense")
+        (d / "run.cfg").write_text(TINY_CONFIG)
+        settings = Settings(parse_config_file(str(d / "run.cfg")), None)
+        cfgm = settings.model_config()
+        s = make_student(build_teacher(cfgm, 0), settings.run_config())
+        s.gates.heads[0].mu.data[0] = 0.0
+        binarize(s, 0.0)
+        dense = extract_dense(s)
+        save_tensors(dense_tensors(dense), str(d / "dense.ckpt"))
+        (d / "dense.json").write_text(json.dumps(sparsity_report(dense, 1, 1, 12)))
+        return d
+
+    @pytest.mark.parametrize("probe, category", [
+        ("missing", "config error"),
+        (_drop_structure, "format error"),
+        (_head_out_of_range, "format error"),
+        ("{not json", "format error"),
+        (_width_one_short, "format error"),
+    ], ids=["missing", "no-structure", "head-out-of-range", "not-json",
+            "width-one-short"])
+    def test_one_categorized_line(self, dense_dir, tmp_path, capsys, probe, category):
+        cfg = str(dense_dir / "run.cfg")
+        good = ["eval", "--config", cfg, "--dense", str(dense_dir / "dense.ckpt")]
+        assert main(good) == 0
+        capsys.readouterr()
+        report = tmp_path / "dense.json"
+        if callable(probe):
+            rep = json.loads((dense_dir / "dense.json").read_text())
+            probe(rep)
+            report.write_text(json.dumps(rep))
+        elif probe != "missing":
+            report.write_text(probe)
+        rc = main(good + ["--dense-report", str(report)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(category) and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 class TestReproducibility:

@@ -60,7 +60,7 @@ class TestEquivalence:
     def test_one_head_dropped(self):
         _, s = make_binarized(seed=3, mutate=lambda s: drop(s.gates.heads[0], [1]))
         dense = extract_dense(s)
-        assert dense.layers[0].head_idx.tolist() == [0]
+        assert dense.structure.heads[0].tolist() == [0]
         tk = rand_tokens(100, seed=4)
         np.testing.assert_allclose(dense.forward(tk), masked_logits(s, tk), atol=1e-5)
 
@@ -71,8 +71,8 @@ class TestEquivalence:
 
         _, s = make_binarized(seed=5, mutate=kill_layer1)
         dense = extract_dense(s)
-        assert not dense.layers[1].mha_alive and not dense.layers[1].ffn_alive
-        assert dense.layers[1].arrays == {}
+        assert not dense.structure.mha[1] and not dense.structure.ffn[1]
+        assert dense.layers[1] == {}
         tk = rand_tokens(60, seed=6)
         np.testing.assert_allclose(dense.forward(tk), masked_logits(s, tk), atol=1e-5)
 
@@ -121,7 +121,7 @@ class TestEquivalence:
     def test_alive_mha_with_every_head_dropped(self):
         _, s = make_binarized(seed=23, mutate=lambda s: drop(s.gates.heads[0], [0, 1]))
         dense = extract_dense(s)
-        assert dense.layers[0].mha_alive and dense.layers[0].head_idx.size == 0
+        assert dense.structure.mha[0] and dense.structure.heads[0].size == 0
         tk = rand_tokens(60, seed=24)
         np.testing.assert_allclose(dense.forward(tk), masked_logits(s, tk), atol=1e-5)
 
@@ -129,7 +129,7 @@ class TestEquivalence:
         _, s = make_binarized(seed=27, mutate=lambda s: drop(s.gates.out[1],
                                                              range(CFG.width)))
         dense = extract_dense(s)
-        assert dense.layers[1].ffn_alive and dense.layers[1].out_idx.size == 0
+        assert dense.structure.ffn[1] and dense.structure.out[1].size == 0
         tk = rand_tokens(60, seed=28)
         np.testing.assert_allclose(dense.forward(tk), masked_logits(s, tk), atol=1e-5)
 
@@ -139,7 +139,7 @@ class TestDenseForward:
         _, s = make_binarized(seed=25, mutate=lambda s: (
             drop(s.gates.width, [1, 7]), drop(s.gates.out[0], [3, 4])))
         dense = extract_dense(s)
-        tables = [dense.arrays] + [lay.arrays for lay in dense.layers]
+        tables = [dense.arrays] + dense.layers
         before = [{k: v.copy() for k, v in t.items()} for t in tables]
         tk = rand_tokens(40, seed=26)
         first, second = dense.forward(tk), dense.forward(tk)
@@ -172,19 +172,6 @@ class TestContracts:
             g.mu.data[:] = 0.0
         with pytest.raises(DegenerateModelError):
             binarize(s, 0.0)
-
-    def test_idempotent_on_dense(self):
-        _, s = make_binarized(seed=13, mutate=lambda s: drop(s.gates.heads[1], [0]))
-        dense = extract_dense(s)
-        again = extract_dense(dense)
-        assert again is not dense
-        np.testing.assert_array_equal(again.width_idx, dense.width_idx)
-        for la, lb in zip(again.layers, dense.layers):
-            assert set(la.arrays) == set(lb.arrays)
-            for k in la.arrays:
-                np.testing.assert_array_equal(la.arrays[k], lb.arrays[k])
-        tk = rand_tokens(20, seed=14)
-        np.testing.assert_array_equal(again.forward(tk), dense.forward(tk))
 
 
 class TestAccounting:

@@ -52,41 +52,26 @@ class TestInit:
 class TestSampling:
     def test_reparameterized_value(self):
         g = make_gate([1.0], [0.5])
-        z = sample_mask(g, [[[2.0]]], "stochastic")
+        z = sample_mask(g, [[[2.0]]])
         np.testing.assert_allclose(z.data, [[[2.0]]])
-
-    def test_mean_mode_broadcast(self):
-        g = make_gate([0.3, -0.1], [0.2, 0.2])
-        z = sample_mask(g, np.zeros((2, 3, 2)), "mean").data
-        for b in range(2):
-            for s in range(3):
-                np.testing.assert_allclose(z[b, s], [0.3, -0.1], rtol=1e-6)
 
     def test_tiny_sigma_matches_mean(self):
         g = make_gate([0.7, 1.3], [1.0, 1.0])
         g.log_sigma.data[:] = -20.0
         eps = np.random.default_rng(0).normal(size=(2, 4, 2))
-        z_s = sample_mask(g, eps, "stochastic").data
-        z_m = sample_mask(g, eps, "mean").data
-        assert np.abs(z_s - z_m).max() < 1e-6
+        z_s = sample_mask(g, eps).data
+        assert np.abs(z_s - g.mu.data).max() < 1e-6
 
     def test_shape_mismatch(self):
         g = make_gate([1.0, 1.0], [0.1, 0.1])
         with pytest.raises(ShapeError):
-            sample_mask(g, np.zeros((2, 3, 5)), "stochastic")
-
-    def test_mean_mode_ignores_mode_noise(self):
-        g = make_gate([0.5], [0.3])
-        eps = np.random.default_rng(1).normal(size=(3, 2, 1))
-        z1 = sample_mask(g, eps, "mean").data
-        z2 = sample_mask(g, np.zeros_like(eps), "mean").data
-        np.testing.assert_array_equal(z1, z2)
+            sample_mask(g, np.zeros((2, 3, 5)))
 
     def test_sample_mean_converges_to_mu(self):
         # mean of 10k draws within 3*sigma/100 of mu
         g = make_gate([0.8], [0.5])
         eps = np.random.default_rng(11).normal(size=(10000, 1, 1))
-        z = sample_mask(g, eps, "stochastic").data
+        z = sample_mask(g, eps).data
         assert abs(z.mean() - 0.8) < 3 * 0.5 / 100
 
 

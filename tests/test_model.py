@@ -4,16 +4,18 @@ gate-zero weight invariance, causal masking."""
 import numpy as np
 import pytest
 
-from vibprune.errors import ContractError, DataError
+import vibprune.model as model_mod
+from vibprune.errors import ContractError, DataError, FormatError
 from vibprune.gates import GateInit
 from vibprune.model import (
     GatedTransformer,
     ModelConfig,
+    Structure,
     build_student,
     build_teacher,
-    count_gated_units,
     default_betas,
     forward,
+    structure,
 )
 
 CFG = ModelConfig(vocab_size=13, max_seq=10, width=8, layers=2, heads=2,
@@ -93,16 +95,6 @@ class TestConstruction:
         with pytest.raises(ContractError):
             ModelConfig(vocab_size=8, max_seq=8, width=9, layers=1, heads=2,
                         ffn_dim=8, num_classes=2)
-
-    def test_gate_inventory(self):
-        cfg = ModelConfig(vocab_size=64, max_seq=32, width=32, layers=2, heads=4,
-                          ffn_dim=64, num_classes=2)
-        s = identity_student(build_teacher(cfg, 0))
-        n_gates, n_units = count_gated_units(s)
-        # per layer: heads, ffn-intermediate, ffn-output, and one 1-unit gate
-        # per sub-layer; plus the global width gate
-        assert n_gates == 1 + 2 * 5
-        assert n_units == 32 + 2 * (4 + 64 + 32 + 1 + 1)
 
     def test_student_copies_weights(self):
         t = build_teacher(CFG, seed=2)
@@ -295,8 +287,77 @@ class TestTrainMode:
         s = identity_student(build_teacher(CFG, seed=54))
         from vibprune.model import _MaskPack
 
-        mp = _MaskPack(s, "train", np.random.default_rng(0), 0.0)
-        mp.build(batch=2, seqlen=5)
+        mp = _MaskPack(s, "train", np.random.default_rng(0), 0.0, batch=2, seqlen=5)
         lm = mp.lmha[0].data  # (2, 5, width)
         for b in range(2):
             assert np.ptp(lm[b]) == 0.0  # constant across tokens and dims
+
+
+class TestStructure:
+    def _student(self):
+        s = identity_student(build_teacher(CFG, seed=60))
+        s.gates.width.mu.data[[1, 6]] = 0.0
+        s.gates.heads[1].mu.data[0] = 0.0
+        s.gates.inter[0].mu.data[:4] = 0.0
+        s.gates.out[0].mu.data[[0, 1]] = 0.0     # dim 1 is also off the width
+        s.gates.layer_ffn[1].mu.data[:] = 0.0
+        return s
+
+    def test_teacher_keeps_everything(self):
+        t = build_teacher(CFG, seed=61)
+        st = structure(t, 0.0)
+        assert st.to_json() == Structure.full(CFG).to_json()
+        assert st.array_shapes(CFG) == {n: p.shape for n, p in t.params.items()}
+
+    def test_kept_indices(self):
+        st = structure(self._student(), 0.0)
+        assert st.width.tolist() == [0, 2, 3, 4, 5, 7]
+        assert [h.tolist() for h in st.heads] == [[0, 1], [1]]
+        assert st.inter[0].tolist() == list(range(4, CFG.ffn_dim))
+        assert st.out[0].tolist() == [2, 3, 4, 5, 7]
+        # the dead FFN keeps no units although its unit gates are on
+        assert st.ffn == (True, False) and st.inter[1].size == st.out[1].size == 0
+        assert st.keep_sums() == (6.0, [(1.0, 1.0, 2.0, 8.0, 5.0),
+                                        (1.0, 0.0, 1.0, 0.0, 0.0)])
+
+    def test_each_gate_evaluated_at_most_once(self, monkeypatch):
+        s = self._student()
+        seen = []
+        real = model_mod.effective_hard
+
+        def counting(gate, tau):
+            seen.append(id(gate))
+            return real(gate, tau)
+
+        monkeypatch.setattr(model_mod, "effective_hard", counting)
+        structure(s, 0.0)
+        assert len(seen) == len(set(seen))
+        assert len(seen) == len(s.gates.all()) - 2   # the dead FFN's two unit gates
+
+    def test_json_round_trip(self):
+        st = structure(self._student(), 0.0)
+        back = Structure.from_json(st.to_json(), CFG, st.array_shapes(CFG))
+        assert back.to_json() == st.to_json()
+
+    @pytest.mark.parametrize("edit", [
+        lambda j: j.update(heads=j["heads"][:1]),            # one layer short
+        lambda j: j["inter"][0].append(CFG.ffn_dim),         # index out of range
+        lambda j: j["width"].reverse(),                      # not sorted
+        lambda j: j["out"][0].insert(0, 1),                  # out dim off the width
+        lambda j: j["inter"][1].append(0),                   # unit of a dead FFN
+        lambda j: j["mha"].__setitem__(0, 1),                # flag not a bool
+        lambda j: j["width"].__setitem__(0, 0.0),            # index not an int
+    ])
+    def test_from_json_rejects(self, edit):
+        st = structure(self._student(), 0.0)
+        j = st.to_json()
+        edit(j)
+        with pytest.raises(FormatError):
+            Structure.from_json(j, CFG, st.array_shapes(CFG))
+
+    def test_from_json_checks_array_shapes(self):
+        st = structure(self._student(), 0.0)
+        shapes = st.array_shapes(CFG)
+        shapes["layer.0.wu.weight"] = (6, 9)
+        with pytest.raises(FormatError, match="wu.weight"):
+            Structure.from_json(st.to_json(), CFG, shapes)

@@ -10,7 +10,6 @@ from vibprune.gates import GateInit, hard_mask
 from vibprune.model import ModelConfig, build_teacher, forward
 from vibprune.pipeline import (
     AdamW,
-    FreezePolicy,
     RunConfig,
     binarize,
     evaluate,
@@ -19,6 +18,8 @@ from vibprune.pipeline import (
     prune_phase,
     subset,
     train_teacher,
+    trains_norm_bias_gates,
+    trains_weights,
 )
 from vibprune.tensor import no_grad
 
@@ -117,17 +118,17 @@ class TestBinarize:
 
 class TestFreezePolicies:
     def test_faster_trains_only_norm_bias_gates(self):
-        pol = FreezePolicy.for_variant("faster", "prune")
-        assert pol.trainable("gate.heads.0.mu")
-        assert pol.trainable("layer.0.ln1.weight")
-        assert pol.trainable("layer.1.wq.bias")
-        assert not pol.trainable("layer.1.wq.weight")
-        assert not pol.trainable("emb.tok")
+        trains = trains_norm_bias_gates  # faster, prune
+        assert trains("gate.heads.0.mu")
+        assert trains("layer.0.ln1.weight")
+        assert trains("layer.1.wq.bias")
+        assert not trains("layer.1.wq.weight")
+        assert not trains("emb.tok")
 
     def test_finetune_excludes_gates(self):
-        pol = FreezePolicy.for_variant("vtrans", "finetune")
-        assert not pol.trainable("gate.heads.0.mu")
-        assert pol.trainable("layer.0.wu.weight")
+        trains = trains_weights  # vtrans, finetune
+        assert not trains("gate.heads.0.mu")
+        assert trains("layer.0.wu.weight")
 
     def test_faster_prune_leaves_weights_bitwise(self, teacher, dataset):
         s = make_student(teacher, quick_run_cfg())
@@ -150,8 +151,7 @@ class TestFreezePolicies:
         s = make_student(teacher, quick_run_cfg())
         prune_phase(s, teacher, dataset,
                     quick_run_cfg(variant="faster", subset_fraction=0.25))
-        pol = FreezePolicy.for_variant("faster", "prune")
-        frozen = [p for n, p in s.named_params() if not pol.trainable(n)]
+        frozen = [p for n, p in s.named_params() if not trains_norm_bias_gates(n)]
         assert frozen
         assert all(p.grad is None and not p.requires_grad for p in frozen)
 

@@ -139,6 +139,33 @@ class TestKernels:
             assert y.data.dtype == np.float64 and p.grad.dtype == np.float64
 
 
+class TestOperators:
+    def test_each_operator_records_one_primitive(self):
+        a, b = parameter(np.float32(3.0)), parameter(np.float32(5.0))
+        cases = [(a + b, "add", 8.0), (a * b, "mul", 15.0), (a + 2.0, "add", 5.0),
+                 (2.0 + a, "add", 5.0), (a * 2.0, "scale", 6.0),
+                 (2.0 * a, "scale", 6.0)]
+        for out, op, value in cases:
+            assert out.node.op == op and out.item() == value
+            assert all(isinstance(i, Tensor) for i in out.node.inputs)
+
+    def test_numpy_scalars_defer_to_tensor(self):
+        a = parameter(np.float32(3.0))
+        for out in (np.float64(2.0) * a, np.float32(2.0) + a, a * np.float64(2.0)):
+            assert isinstance(out, Tensor) and out.node is not None
+
+    def test_same_expression_on_floats_and_tensors(self):
+        def poly(x, y):
+            return x * (y * 4.0 + 3.0) + (x * y + y) * 2.0
+
+        x, y = parameter(np.float32(3.0)), parameter(np.float32(7.0))
+        out = poly(x, y)
+        assert out.item() == poly(3.0, 7.0)
+        backward(out)
+        assert x.grad == 4.0 * 7.0 + 3.0 + 2.0 * 7.0
+        assert y.grad == 3.0 * 4.0 + 2.0 * (3.0 + 1.0)
+
+
 class TestBackwardBasics:
     def test_sum_of_squares(self):
         x = parameter([1.0, 2.0, 3.0])
