@@ -7,11 +7,12 @@ Round trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 MAGIC = b"VIBP"
 VERSION = 1
@@ -34,23 +35,44 @@ def save_tensors(tensors: dict, path: str) -> None:
 
 
 def load_tensors(path: str) -> dict:
+    """The named tensors `save_tensors` wrote. A file that cannot be read is
+    a ConfigError; damaged bytes are a FormatError."""
+    try:
+        with open(path, "rb") as f:
+            buf = f.read()
+    except OSError as e:
+        raise ConfigError(f"cannot read checkpoint {path}: {e.strerror}")
+    if buf[:4] != MAGIC:
+        raise FormatError(f"{path}: bad checkpoint magic")
+    pos = 4
+
+    def take(n, what):
+        nonlocal pos
+        if pos + n > len(buf):
+            raise FormatError(f"{path}: truncated {what}")
+        pos += n
+        return buf[pos - n:pos]
+
+    def unpack(fmt, what):
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    version, count = unpack("<II", "header")
+    if version != VERSION:
+        raise FormatError(f"{path}: unsupported checkpoint version {version}")
     out = {}
-    with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise FormatError(f"{path}: bad checkpoint magic")
-        version, count = struct.unpack("<II", f.read(8))
-        if version != VERSION:
-            raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            dims = struct.unpack(f"<{ndim}I", f.read(4 * ndim)) if ndim else ()
-            n = int(np.prod(dims, dtype=np.int64)) if dims else 1
-            payload = f.read(4 * n)
-            if len(payload) != 4 * n:
-                raise FormatError(f"{path}: truncated payload for '{name}'")
-            if name in out:
-                raise FormatError(f"{path}: duplicate tensor name '{name}'")
+    for _ in range(count):
+        (nlen,) = unpack("<H", "tensor name length")
+        try:
+            name = take(nlen, "tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: a tensor name is not UTF-8")
+        (ndim,) = unpack("<B", f"dims of '{name}'")
+        dims = unpack(f"<{ndim}I", f"dims of '{name}'")
+        payload = take(4 * math.prod(dims), f"payload for '{name}'")
+        if name in out:
+            raise FormatError(f"{path}: duplicate tensor name '{name}'")
+        try:
             out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        except ValueError as e:
+            raise FormatError(f"{path}: tensor '{name}': {e}")
     return out

@@ -227,24 +227,13 @@ def load_model(config: ModelConfig, run: RunConfig, tensors: dict,
     return model, distill
 
 
-def dense_tensors(dense: DenseModel) -> dict:
-    out = dict(dense.arrays)
-    for i, lay in enumerate(dense.layers):
-        for k, v in lay.items():
-            out[f"layer.{i}.{k}"] = v
-    return out
-
-
 def load_dense(config: ModelConfig, tensors: dict, report: dict) -> DenseModel:
     """The dense model whose arrays `tensors` holds and whose kept units the
     `structure` entry of its report `dense.json` holds."""
     st = Structure.from_json(report.get("structure") if isinstance(report, dict)
                              else None, config,
                              {k: v.shape for k, v in tensors.items()})
-    layers = [{k.split(".", 2)[2]: v for k, v in tensors.items()
-               if k.startswith(f"layer.{i}.")} for i in range(config.layers)]
-    top = {k: v for k, v in tensors.items() if not k.startswith("layer.")}
-    return DenseModel(config, st, layers, top)
+    return DenseModel(config, st, tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +351,7 @@ def cmd_extract(args):
                                               *full_keep_sums(cfgm))))
     dense = extract_dense(student)
     report = sparsity_report(dense, teacher_params, teacher_flops, seq_ref)
-    save_tensors(dense_tensors(dense), os.path.join(out, "dense.ckpt"))
+    save_tensors(dense.arrays, os.path.join(out, "dense.ckpt"))
     with open(os.path.join(out, "dense.json"), "w") as f:
         json.dump(report, f, indent=1)
     print(json.dumps({"params": report["params"], "flops": report["flops"],

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError, FormatError
+from .errors import ConfigError, ContractError, DataError, FormatError
 
 CLS_TOKEN = 0
 SEP_TOKEN = 1
@@ -26,6 +26,8 @@ SEP_TOKEN = 1
 _KINDS = ("majority_pair", "marked_parity", "signal_dims")
 _DATASET_MAGIC = b"VIBD"
 _DATASET_VERSION = 1
+# magic, version, kind, vocab, seq, n_train, n_val, n_test, seed
+_DATASET_HEADER = struct.Struct("<4sIBHHIIIQ")
 
 
 @dataclass
@@ -197,26 +199,42 @@ def generate(spec: TaskSpec) -> Dataset:
 def save_dataset(ds: Dataset, path: str) -> None:
     s = ds.spec
     with open(path, "wb") as f:
-        f.write(_DATASET_MAGIC)
-        f.write(struct.pack("<IB", _DATASET_VERSION, _KINDS.index(s.kind)))
-        f.write(struct.pack("<HHIIIQ", s.vocab, s.seq, s.n_train, s.n_val,
-                            s.n_test, s.seed))
+        f.write(_DATASET_HEADER.pack(_DATASET_MAGIC, _DATASET_VERSION,
+                                     _KINDS.index(s.kind), s.vocab, s.seq,
+                                     s.n_train, s.n_val, s.n_test, s.seed))
         f.write(ds.tokens.astype("<u2").tobytes())
         f.write(ds.labels.astype("u1").tobytes())
 
 
 def load_dataset(path: str) -> Dataset:
-    with open(path, "rb") as f:
-        if f.read(4) != _DATASET_MAGIC:
-            raise FormatError(f"{path}: bad dataset magic")
-        version, kind_id = struct.unpack("<IB", f.read(5))
-        if version != _DATASET_VERSION:
-            raise FormatError(f"{path}: unsupported dataset version {version}")
-        vocab, seq, n_train, n_val, n_test = struct.unpack("<HHIII", f.read(16))
-        (seed,) = struct.unpack("<Q", f.read(8))
-        n = n_train + n_val + n_test
-        tokens = np.frombuffer(f.read(n * seq * 2), dtype="<u2").reshape(n, seq)
-        labels = np.frombuffer(f.read(n), dtype="u1")
-    spec = TaskSpec(kind=_KINDS[kind_id], vocab=vocab, seq=seq, n_train=n_train,
-                    n_val=n_val, n_test=n_test, seed=seed)
+    """The dataset `save_dataset` wrote. A file that cannot be read is a
+    ConfigError; a damaged one, or one whose size is not the size its header
+    implies, is a FormatError."""
+    try:
+        with open(path, "rb") as f:
+            buf = f.read()
+    except OSError as e:
+        raise ConfigError(f"cannot read dataset {path}: {e.strerror}")
+    if buf[:4] != _DATASET_MAGIC:
+        raise FormatError(f"{path}: bad dataset magic")
+    head = _DATASET_HEADER.size
+    if len(buf) < head:
+        raise FormatError(f"{path}: truncated header")
+    _, version, kind_id, vocab, seq, n_train, n_val, n_test, seed = \
+        _DATASET_HEADER.unpack_from(buf)
+    if version != _DATASET_VERSION:
+        raise FormatError(f"{path}: unsupported dataset version {version}")
+    if kind_id >= len(_KINDS):
+        raise FormatError(f"{path}: unknown task kind {kind_id}")
+    n = n_train + n_val + n_test
+    size = head + n * (2 * seq + 1)     # uint16 tokens, then uint8 labels
+    if len(buf) != size:
+        raise FormatError(f"{path}: {len(buf)} bytes, its header implies {size}")
+    try:
+        spec = TaskSpec(kind=_KINDS[kind_id], vocab=vocab, seq=seq, n_train=n_train,
+                        n_val=n_val, n_test=n_test, seed=seed)
+    except ContractError as e:
+        raise FormatError(f"{path}: {e.detail}")
+    tokens = np.frombuffer(buf, "<u2", n * seq, head).reshape(n, seq)
+    labels = np.frombuffer(buf, "u1", n, head + 2 * n * seq)
     return Dataset(spec, tokens.copy(), labels.copy())

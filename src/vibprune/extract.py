@@ -42,8 +42,7 @@ class DenseModel:
 
     orig: ModelConfig
     structure: Structure        # the kept units, in the original grid
-    layers: list                # per layer, its kept arrays (none if it is dead)
-    arrays: dict                # emb.tok, emb.pos, cls.weight, cls.bias
+    arrays: dict                # the kept arrays, by the teacher's parameter names
 
     @property
     def d_kept(self) -> int:
@@ -58,36 +57,36 @@ class DenseModel:
         return y
 
     def forward(self, tokens: np.ndarray) -> np.ndarray:
-        c, st = self.orig, self.structure
+        c, st, a = self.orig, self.structure, self.arrays
         tokens = np.asarray(tokens)
         b, s = tokens.shape
         dh = c.head_dim
-        a = self.arrays
         # a new array, so the in-place adds below never reach the tables
         x = a["emb.tok"][tokens] + a["emb.pos"][np.arange(s)]
-        for i, w in enumerate(self.layers):
+        for i in range(c.layers):
+            p = f"layer.{i}."
             if st.mha[i]:
-                xn = self._norm(x, w["ln1.weight"], w["ln1.bias"])
+                xn = self._norm(x, a[p + "ln1.weight"], a[p + "ln1.bias"])
                 nh = st.heads[i].size
                 # every kept head at once: (b, s, nh*dh) -> (b, nh, s, dh)
-                q, k, v = ((xn @ w[n + ".weight"] + w[n + ".bias"])
+                q, k, v = ((xn @ a[p + w + ".weight"] + a[p + w + ".bias"])
                            .reshape(b, s, nh, dh).transpose(0, 2, 1, 3)
-                           for n in ("wq", "wk", "wv"))
+                           for w in ("wq", "wk", "wv"))
                 scores = q @ k.transpose(0, 1, 3, 2)
                 scores *= 1.0 / math.sqrt(dh)
                 if c.causal:
                     scores[..., np.triu(np.ones((s, s), dtype=bool), 1)] = -1e9
                 ctx = (_softmax(scores) @ v).transpose(0, 2, 1, 3)
-                x += ctx.reshape(b, s, nh * dh) @ w["wo.weight"] + w["wo.bias"]
+                x += ctx.reshape(b, s, nh * dh) @ a[p + "wo.weight"] + a[p + "wo.bias"]
             if st.ffn[i]:
-                xn2 = self._norm(x, w["ln2.weight"], w["ln2.bias"])
-                mid, _ = _gelu(xn2 @ w["wu.weight"] + w["wu.bias"])
+                xn2 = self._norm(x, a[p + "ln2.weight"], a[p + "ln2.bias"])
+                mid, _ = _gelu(xn2 @ a[p + "wu.weight"] + a[p + "wu.bias"])
                 # wd widened with zero columns for the dropped outputs, so the
                 # residual is a plain add: an indexed add on the stream's last
                 # axis costs far more than the zero columns' products
                 pos = np.searchsorted(st.width, st.out[i])
-                x += (mid @ _widen(w["wd.weight"], pos, self.d_kept)
-                      + _widen(w["wd.bias"], pos, self.d_kept))
+                x += (mid @ _widen(a[p + "wd.weight"], pos, self.d_kept)
+                      + _widen(a[p + "wd.bias"], pos, self.d_kept))
         pooled = self._norm(x[:, -1 if c.causal else 0, :])
         return pooled @ a["cls.weight"] + a["cls.bias"]
 
@@ -100,64 +99,37 @@ def extract_dense(student: GatedTransformer) -> DenseModel:
         raise ContractError("extract_dense: student must be binarized first")
 
     c = student.config
-    g = student.gates
-    dh = c.head_dim
     st = structure(student, 0.0)  # masks are frozen; tau plays no part
-    width_idx = st.width
-    if width_idx.size == 0:
+    if st.width.size == 0:
         raise DegenerateModelError("extract_dense: no kept width dims")
     if not any(st.mha + st.ffn):
         raise DegenerateModelError("extract_dense: every sub-layer is gone")
-    mu_m = g.width.frozen[width_idx]  # mu * hard on kept dims
 
-    p = {k: v.data for k, v in student.params.items()}
-    arrays = {
-        "emb.tok": p["emb.tok"][:, width_idx] * mu_m,
-        "emb.pos": p["emb.pos"][:, width_idx] * mu_m,
-        "cls.weight": p["cls.weight"][width_idx] * mu_m[:, None],
-        "cls.bias": p["cls.bias"].copy(),
-    }
-
-    layers = []
+    # the gate scales each array folds in: by name, (axis, scale over the full
+    # axis) factors, multiplied in order; an array not named is copied unscaled
+    g, m = student.gates, student.gates.width.frozen
+    folds = {"emb.tok": [(1, m)], "emb.pos": [(1, m)], "cls.weight": [(0, m)]}
     for i in range(c.layers):
-        pre = f"layer.{i}."
-        lay = {}
-        if st.mha[i]:
-            head_idx = st.heads[i]
-            mu_lm = float(g.layer_mha[i].frozen[0])
-            mu_a = g.heads[i].frozen[head_idx]
-            col_sel = (head_idx[:, None] * dh + np.arange(dh)).reshape(-1)
-            lay["ln1.weight"] = p[pre + "ln1.weight"][width_idx].copy()
-            lay["ln1.bias"] = p[pre + "ln1.bias"][width_idx].copy()
-            for w in ("wq", "wk", "wv"):
-                # rows: kept width, scaled by the width gate (read side)
-                wm = p[pre + w + ".weight"][np.ix_(width_idx, col_sel)] * mu_m[:, None]
-                lay[w + ".weight"] = wm
-                lay[w + ".bias"] = p[pre + w + ".bias"][col_sel].copy()
-            row_scale = np.repeat(mu_a, dh) * mu_lm
-            wo = p[pre + "wo.weight"][np.ix_(col_sel, width_idx)]
-            lay["wo.weight"] = wo * row_scale[:, None] * mu_m[None, :]
-            lay["wo.bias"] = p[pre + "wo.bias"][width_idx] * mu_lm * mu_m
+        p = f"layer.{i}."
+        lm = g.layer_mha[i].frozen
+        for w in ("wq", "wk", "wv", "wu"):
+            folds[p + w + ".weight"] = [(0, m)]
+        folds[p + "wo.weight"] = [(0, np.repeat(g.heads[i].frozen, c.head_dim)
+                                   * float(lm[0])), (1, m)]
+        folds[p + "wo.bias"] = [(0, np.repeat(lm, c.width)), (0, m)]
+        out = g.out[i].frozen * m * float(g.layer_ffn[i].frozen[0])
+        folds[p + "wd.weight"] = [(0, g.inter[i].frozen), (1, out)]
+        folds[p + "wd.bias"] = [(0, out)]
 
-        if st.ffn[i]:
-            inter_idx, out_orig = st.inter[i], st.out[i]
-            mu_lf = float(g.layer_ffn[i].frozen[0])
-            mu_i = g.inter[i].frozen[inter_idx]
-            mu_o = g.out[i].frozen[out_orig]
-            mu_m_out = g.width.frozen[out_orig]
-            lay["ln2.weight"] = p[pre + "ln2.weight"][width_idx].copy()
-            lay["ln2.bias"] = p[pre + "ln2.bias"][width_idx].copy()
-            wu = p[pre + "wu.weight"][np.ix_(width_idx, inter_idx)] * mu_m[:, None]
-            lay["wu.weight"] = wu
-            lay["wu.bias"] = p[pre + "wu.bias"][inter_idx].copy()
-            wd = p[pre + "wd.weight"][np.ix_(inter_idx, out_orig)]
-            col_scale = mu_o * mu_m_out * mu_lf
-            lay["wd.weight"] = wd * mu_i[:, None] * col_scale[None, :]
-            lay["wd.bias"] = p[pre + "wd.bias"][out_orig] * col_scale
-        layers.append({k: v.astype(np.float32) for k, v in lay.items()})
-
-    arrays = {k: v.astype(np.float32) for k, v in arrays.items()}
-    return DenseModel(c, st, layers, arrays)
+    arrays = {}
+    for name, axes in st.layout(c).items():
+        a = student.params[name].data[np.ix_(*axes)]
+        for axis, scale in folds.get(name, ()):
+            shape = [1] * a.ndim
+            shape[axis] = -1
+            a = a * scale[axes[axis]].reshape(shape)
+        arrays[name] = a.astype(np.float32)
+    return DenseModel(c, st, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +139,12 @@ def extract_dense(student: GatedTransformer) -> DenseModel:
 def param_count(model) -> int:
     """Parameters in the sparsity base, by direct enumeration of arrays."""
     if isinstance(model, DenseModel):
-        total = sum(a.size for a in model.arrays.values())
-        total += sum(a.size for lay in model.layers for a in lay.values())
-        return int(total - model.arrays["cls.bias"].size)
-    if isinstance(model, GatedTransformer):
-        return int(sum(p.data.size for n, p in model.params.items() if n != "cls.bias"))
-    raise ContractError("param_count: unsupported model type")
+        arrays = model.arrays
+    elif isinstance(model, GatedTransformer):
+        arrays = {n: p.data for n, p in model.params.items()}
+    else:
+        raise ContractError("param_count: unsupported model type")
+    return int(sum(a.size for n, a in arrays.items() if n != "cls.bias"))
 
 
 def kept_structure(model) -> tuple:
@@ -217,39 +189,10 @@ def survival_masks(student: GatedTransformer, tau: float = 0.0) -> dict:
     current hard masks (used to freeze pruned entries during finetuning)."""
     if student.gates is None:
         raise ContractError("survival_masks: model has no gates")
-    c = student.config
-    st = structure(student, tau)
-
-    def keep(idx, n):
-        m = np.zeros(n, dtype=bool)
-        m[idx] = True
-        return m
-
-    hm = keep(st.width, c.width)
-    masks = {
-        "emb.tok": np.broadcast_to(hm, (c.vocab_size, c.width)),
-        "emb.pos": np.broadcast_to(hm, (c.max_seq, c.width)),
-        "cls.weight": np.broadcast_to(hm[:, None], (c.width, c.num_classes)),
-        "cls.bias": np.ones(c.num_classes, dtype=bool),
-    }
-    for i in range(c.layers):
-        pre = f"layer.{i}."
-        # a dead sub-layer keeps no heads/units, so only its norm and the
-        # bias it adds to the stream need its flag
-        ha = np.repeat(keep(st.heads[i], c.heads), c.head_dim)
-        hi = keep(st.inter[i], c.ffn_dim)
-        ho = keep(st.out[i], c.width)
-        masks[pre + "ln1.weight"] = hm & st.mha[i]
-        masks[pre + "ln1.bias"] = hm & st.mha[i]
-        for w in ("wq", "wk", "wv"):
-            masks[pre + w + ".weight"] = np.outer(hm, ha)
-            masks[pre + w + ".bias"] = ha
-        masks[pre + "wo.weight"] = np.outer(ha, hm)
-        masks[pre + "wo.bias"] = hm & st.mha[i]
-        masks[pre + "ln2.weight"] = hm & st.ffn[i]
-        masks[pre + "ln2.bias"] = hm & st.ffn[i]
-        masks[pre + "wu.weight"] = np.outer(hm, hi)
-        masks[pre + "wu.bias"] = hi
-        masks[pre + "wd.weight"] = np.outer(hi, ho)
-        masks[pre + "wd.bias"] = ho
+    layout = structure(student, tau).layout(student.config)
+    masks = {}
+    for name, p in student.params.items():
+        masks[name] = np.zeros(p.data.shape, dtype=bool)
+        if name in layout:
+            masks[name][np.ix_(*layout[name])] = True
     return masks

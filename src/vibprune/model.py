@@ -159,32 +159,39 @@ class Structure:
                                               self.inter, self.out)]
         return float(self.width.size), per_layer
 
-    def array_shapes(self, config: ModelConfig) -> dict:
-        """Shape of every parameter array the structure keeps, by name; the
-        full structure gives the teacher's parameters."""
-        c, d = config, self.width.size
-        shapes = {"emb.tok": (c.vocab_size, d), "emb.pos": (c.max_seq, d),
-                  "cls.weight": (d, c.num_classes), "cls.bias": (c.num_classes,)}
+    def layout(self, config: ModelConfig) -> dict:
+        """Every parameter array the structure keeps, by checkpoint name, as
+        the kept indices into the full array along each of its axes. A dead
+        sub-layer's arrays are absent; the full structure gives the teacher's."""
+        c, d, dh = config, self.width, config.head_dim
+        classes = np.arange(c.num_classes)
+        lay = {"emb.tok": (np.arange(c.vocab_size), d),
+               "emb.pos": (np.arange(c.max_seq), d),
+               "cls.weight": (d, classes), "cls.bias": (classes,)}
         for i in range(c.layers):
             p = f"layer.{i}."
             if self.mha[i]:
-                a = self.heads[i].size * c.head_dim
-                shapes[p + "ln1.weight"] = (d,)
-                shapes[p + "ln1.bias"] = (d,)
+                # a head's columns: dh consecutive entries of the head axis
+                a = (self.heads[i][:, None] * dh + np.arange(dh)).reshape(-1)
+                lay[p + "ln1.weight"] = lay[p + "ln1.bias"] = (d,)
                 for w in ("wq", "wk", "wv"):
-                    shapes[p + w + ".weight"] = (d, a)
-                    shapes[p + w + ".bias"] = (a,)
-                shapes[p + "wo.weight"] = (a, d)
-                shapes[p + "wo.bias"] = (d,)
+                    lay[p + w + ".weight"] = (d, a)
+                    lay[p + w + ".bias"] = (a,)
+                lay[p + "wo.weight"] = (a, d)
+                lay[p + "wo.bias"] = (d,)
             if self.ffn[i]:
-                n, o = self.inter[i].size, self.out[i].size
-                shapes[p + "ln2.weight"] = (d,)
-                shapes[p + "ln2.bias"] = (d,)
-                shapes[p + "wu.weight"] = (d, n)
-                shapes[p + "wu.bias"] = (n,)
-                shapes[p + "wd.weight"] = (n, o)
-                shapes[p + "wd.bias"] = (o,)
-        return shapes
+                n, o = self.inter[i], self.out[i]
+                lay[p + "ln2.weight"] = lay[p + "ln2.bias"] = (d,)
+                lay[p + "wu.weight"] = (d, n)
+                lay[p + "wu.bias"] = (n,)
+                lay[p + "wd.weight"] = (n, o)
+                lay[p + "wd.bias"] = (o,)
+        return lay
+
+    def array_shapes(self, config: ModelConfig) -> dict:
+        """Shape of every parameter array the structure keeps, by name."""
+        return {name: tuple(ix.size for ix in axes)
+                for name, axes in self.layout(config).items()}
 
     def to_json(self) -> dict:
         return {"width": self.width.tolist(),

@@ -103,6 +103,8 @@ def trains_weights(name: str) -> bool:
 
 
 def trains_norm_bias_gates(name: str) -> bool:
+    """Norms, biases, gates and the layer-distillation weights: the
+    parameters AdamW does not decay."""
     return (".ln1." in name or ".ln2." in name or name.endswith(".bias")
             or name.startswith("gate.") or name == "distill.w_layer")
 
@@ -133,12 +135,9 @@ class AdamW:
         self.entries = []
         for name, p in named_params:
             is_gate = name.startswith("gate.") or name == "distill.w_layer"
-            lr = lr_gates if is_gate else lr_weights
-            no_decay = (is_gate or name.endswith(".bias") or ".ln1." in name
-                        or ".ln2." in name)
             self.entries.append({
-                "name": name, "p": p, "lr": lr,
-                "wd": 0.0 if no_decay else weight_decay,
+                "name": name, "p": p, "lr": lr_gates if is_gate else lr_weights,
+                "wd": 0.0 if trains_norm_bias_gates(name) else weight_decay,
                 "m": np.zeros_like(p.data), "v": np.zeros_like(p.data),
             })
         self.b1, self.b2 = betas

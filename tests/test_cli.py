@@ -1,14 +1,18 @@
 """CLI and format tests: checkpoint round trips, config validation, and the
 full command chain end to end on a tiny model."""
 
+import functools
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vibprune.checkpoint import load_tensors, save_tensors
-from vibprune.cli import Settings, dense_tensors, main, parse_config_file
+from vibprune.cli import Settings, main, parse_config_file
 from vibprune.errors import ConfigError, FormatError
 from vibprune.extract import extract_dense, sparsity_report
 from vibprune.model import build_teacher
@@ -74,6 +78,61 @@ class TestCheckpointFormat:
         save_tensors({"t": np.zeros(1, np.float32)}, path)
         with open(path, "rb") as f:
             assert f.read(4) == b"VIBP"
+
+
+@functools.lru_cache(maxsize=None)
+def _good_checkpoint() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "good.ckpt")
+        save_tensors({"a.weight": np.arange(6, dtype=np.float32).reshape(2, 3),
+                      "b": np.float32(2.5).reshape(())}, path)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+@st.composite
+def _damaged_checkpoints(draw):
+    """A good checkpoint with a few bytes overwritten, then cut anywhere."""
+    data = bytearray(_good_checkpoint())
+    for i, b in draw(st.lists(st.tuples(st.integers(0, len(data) - 1),
+                                        st.integers(0, 255)), max_size=4)):
+        data[i] = b
+    return bytes(data[:draw(st.integers(0, len(data)))])
+
+
+class TestDamagedCheckpoint:
+    """Any damage to a checkpoint's bytes is a FormatError; a file that
+    cannot be read is a ConfigError."""
+
+    # offsets in the good checkpoint: magic 0, version 4, count 8, then the
+    # first tensor's name length 12, name "a.weight" 14, ndim 22, dims 23
+    @pytest.mark.parametrize("damage", [
+        lambda b: b[:6],                                # header cut short
+        lambda b: b[:13],                               # inside a name length
+        lambda b: b[:25],                               # inside the dims
+        lambda b: b[:14] + b"\xff" + b[15:],            # a name byte not UTF-8
+    ], ids=["short-header", "cut-name-length", "cut-dims", "name-not-utf8"])
+    def test_probe_is_format_error(self, tmp_path, damage):
+        p = tmp_path / "bad.ckpt"
+        p.write_bytes(damage(_good_checkpoint()))
+        with pytest.raises(FormatError):
+            load_tensors(str(p))
+
+    def test_missing_path_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError):
+            load_tensors(str(tmp_path / "missing.ckpt"))
+
+    @given(data=st.one_of(_damaged_checkpoints(), st.binary(max_size=80),
+                          st.binary(max_size=80).map(lambda b: b"VIBP" + b)))
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_bytes_load_or_format_error(self, tmp_path, data):
+        p = tmp_path / "fuzz.ckpt"
+        p.write_bytes(data)
+        try:
+            load_tensors(str(p))
+        except FormatError:
+            pass
 
 
 class TestConfigParsing:
@@ -234,7 +293,7 @@ class TestBadDenseReport:
         s.gates.heads[0].mu.data[0] = 0.0
         binarize(s, 0.0)
         dense = extract_dense(s)
-        save_tensors(dense_tensors(dense), str(d / "dense.ckpt"))
+        save_tensors(dense.arrays, str(d / "dense.ckpt"))
         (d / "dense.json").write_text(json.dumps(sparsity_report(dense, 1, 1, 12)))
         return d
 
@@ -263,6 +322,15 @@ class TestBadDenseReport:
         assert rc == 1
         assert err.startswith(category) and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+
+    def test_missing_checkpoint(self, dense_dir, tmp_path, capsys):
+        rc = main(["eval", "--config", str(dense_dir / "run.cfg"),
+                   "--dense", str(tmp_path / "missing.ckpt"),
+                   "--dense-report", str(dense_dir / "dense.json")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error") and err.count("\n") == 1, err
 
 
 class TestReproducibility:

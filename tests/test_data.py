@@ -18,7 +18,7 @@ from vibprune.data import (
     signal_features,
     signal_score,
 )
-from vibprune.errors import ContractError, FormatError
+from vibprune.errors import ConfigError, ContractError, FormatError
 
 
 def small_spec(kind, **kw):
@@ -125,3 +125,43 @@ class TestFileFormat:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(FormatError):
             load_dataset(str(path))
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        """A 28-example dataset file's bytes and a path to write damage to."""
+        path = tmp_path / "d.bin"
+        save_dataset(generate(small_spec("majority_pair", n_train=20, n_val=4,
+                                         n_test=4)), str(path))
+        return path.read_bytes(), path
+
+    def _damaged(self, saved, damage):
+        data, path = saved
+        path.write_bytes(damage(bytearray(data)))
+        return str(path)
+
+    # header offsets: magic 0, version 4, kind 8, vocab 9, seq 11,
+    # n_train 13, n_val 17, n_test 21, seed 25
+    def _kind_out_of_range(b):
+        b[8] = 9
+        return bytes(b)
+
+    def _one_val_example(b):
+        b[13], b[17] = 23, 1    # 23 + 1 + 4: the total, and so the size, holds
+        return bytes(b)
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: bytes(b[:-7]),            # labels cut short
+        lambda b: bytes(b) + b"\x00",       # one byte too many
+        lambda b: bytes(b[:20]),            # header cut short
+        _kind_out_of_range,
+        _one_val_example,
+    ], ids=["labels-cut-short", "one-byte-too-many", "short-header",
+            "kind-out-of-range", "one-val-example"])
+    def test_damaged_file_is_format_error(self, saved, damage):
+        with pytest.raises(FormatError):
+            load_dataset(self._damaged(saved, damage))
+
+    def test_missing_file_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError):
+            load_dataset(str(tmp_path / "missing.bin"))
+

@@ -72,7 +72,7 @@ class TestEquivalence:
         _, s = make_binarized(seed=5, mutate=kill_layer1)
         dense = extract_dense(s)
         assert not dense.structure.mha[1] and not dense.structure.ffn[1]
-        assert dense.layers[1] == {}
+        assert not [n for n in dense.arrays if n.startswith("layer.1.")]
         tk = rand_tokens(60, seed=6)
         np.testing.assert_allclose(dense.forward(tk), masked_logits(s, tk), atol=1e-5)
 
@@ -98,6 +98,12 @@ class TestEquivalence:
             tk = rand_tokens(100, seed=200 + trial)
             diff = np.abs(dense.forward(tk) - masked_logits(s, tk)).max()
             assert diff < 1e-5, f"trial {trial}: {diff}"
+            # the dense arrays, their shapes and the survival masks agree
+            assert ({n: a.shape for n, a in dense.arrays.items()}
+                    == dense.structure.array_shapes(CFG)), f"trial {trial}"
+            for n, m in survival_masks(s).items():
+                kept = dense.arrays[n].size if n in dense.arrays else 0
+                assert m.sum() == kept, f"trial {trial}: {n}"
 
     def test_nontrivial_mu_scales_folded(self):
         def mutate(s):
@@ -139,15 +145,14 @@ class TestDenseForward:
         _, s = make_binarized(seed=25, mutate=lambda s: (
             drop(s.gates.width, [1, 7]), drop(s.gates.out[0], [3, 4])))
         dense = extract_dense(s)
-        tables = [dense.arrays] + dense.layers
-        before = [{k: v.copy() for k, v in t.items()} for t in tables]
+        before = {k: v.copy() for k, v in dense.arrays.items()}
         tk = rand_tokens(40, seed=26)
         first, second = dense.forward(tk), dense.forward(tk)
         assert first.dtype == np.float32
         np.testing.assert_array_equal(first, second)
-        for table, saved in zip(tables, before):
-            for k, v in saved.items():
-                np.testing.assert_array_equal(table[k], v, err_msg=k)
+        assert dense.arrays.keys() == before.keys()
+        for k, v in before.items():
+            np.testing.assert_array_equal(dense.arrays[k], v, err_msg=k)
 
 
 class TestContracts:
