@@ -18,7 +18,7 @@ import numpy as np
 from . import analysis
 from .checkpoint import load_tensors, save_tensors
 from .data import Dataset, TaskSpec, generate, load_dataset, save_dataset
-from .errors import ConfigError, FormatError, VibError
+from .errors import ConfigError, DataError, FormatError, VibError
 from .extract import (
     DenseModel,
     extract_dense,
@@ -259,9 +259,17 @@ class MetricsWriter:
 
 
 def _dataset(settings: Settings, args) -> Dataset:
+    """The given or generated dataset; a label outside the model's classes is
+    a DataError."""
     if getattr(args, "dataset", None):
-        return load_dataset(args.dataset)
-    return generate(settings.task_spec())
+        ds = load_dataset(args.dataset)
+    else:
+        ds = generate(settings.task_spec())
+    classes, top = settings.v["model.num_classes"], int(ds.labels.max(initial=0))
+    if top >= classes:
+        raise DataError(f"dataset label {top} is outside [0, {classes}), the "
+                        f"classes of model.num_classes")
+    return ds
 
 
 def _load_student_ckpt(settings, run, path):

@@ -18,7 +18,7 @@ shifts the mean/variance by a closed-form amount).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,20 @@ class DenseModel:
     orig: ModelConfig
     structure: Structure        # the kept units, in the original grid
     arrays: dict                # the kept arrays, by the teacher's parameter names
+    # per alive FFN layer: wd and its bias widened with zero columns for the
+    # dropped outputs, so the residual is a plain add: an indexed add on the
+    # stream's last axis costs far more than the zero columns' products
+    _wd: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        st, a, n = self.structure, self.arrays, self.d_kept
+        self._wd = {}
+        for i in range(self.orig.layers):
+            if st.ffn[i]:
+                p = f"layer.{i}."
+                pos = np.searchsorted(st.width, st.out[i])
+                self._wd[i] = (_widen(a[p + "wd.weight"], pos, n),
+                               _widen(a[p + "wd.bias"], pos, n))
 
     @property
     def d_kept(self) -> int:
@@ -81,12 +95,8 @@ class DenseModel:
             if st.ffn[i]:
                 xn2 = self._norm(x, a[p + "ln2.weight"], a[p + "ln2.bias"])
                 mid, _ = _gelu(xn2 @ a[p + "wu.weight"] + a[p + "wu.bias"])
-                # wd widened with zero columns for the dropped outputs, so the
-                # residual is a plain add: an indexed add on the stream's last
-                # axis costs far more than the zero columns' products
-                pos = np.searchsorted(st.width, st.out[i])
-                x += (mid @ _widen(a[p + "wd.weight"], pos, self.d_kept)
-                      + _widen(a[p + "wd.bias"], pos, self.d_kept))
+                wd, bd = self._wd[i]
+                x += mid @ wd + bd
         pooled = self._norm(x[:, -1 if c.causal else 0, :])
         return pooled @ a["cls.weight"] + a["cls.bias"]
 

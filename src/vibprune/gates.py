@@ -4,12 +4,17 @@ the redundancy-score thresholding that turns them into hard 0/1 masks.
 A gate holds one (mu, log_sigma) pair per structural unit of the group it
 controls. Sampled masks are mu + eps * sigma; a unit is dropped when
 log(mu^2 / sigma^2) falls at or below the threshold tau.
+
+`kl_term` and `soft_keep` take a single gate or a `GateVector`, the units of
+every gate of a model as one pair of vectors; training calls them once a
+step on the latter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,6 +83,14 @@ class VibGate:
         return np.exp(self.log_sigma.data)
 
 
+class GateVector(NamedTuple):
+    """The units of many gates as one (mu, log_sigma) pair of graph vectors;
+    it stands in for a single gate wherever only those two are read."""
+
+    mu: Tensor
+    log_sigma: Tensor
+
+
 def new_gate(unit_count: int, site: Site, beta: float, init: GateInit) -> VibGate:
     if unit_count < 1:
         raise ContractError(f"new_gate: unit_count must be >= 1, got {unit_count}")
@@ -103,10 +116,12 @@ def sample_mask(gate: VibGate, epsilon) -> Tensor:
     return add(noise, gate.mu)
 
 
-def kl_term(gate: VibGate) -> Tensor:
-    """Information cost of the gate: sum over units of log(1 + mu^2/sigma^2)."""
+def kl_term(gate, beta: np.ndarray = None) -> Tensor:
+    """Information cost of the gate: sum over units of log(1 + mu^2/sigma^2),
+    each unit's term weighted by its entry of `beta` when one is given."""
     alpha_t = mul(square(gate.mu), texp(scale(gate.log_sigma, -2.0)))
-    return tsum(tlog(add(alpha_t, constant(1.0))))
+    cost = tlog(add(alpha_t, constant(1.0)))
+    return tsum(cost if beta is None else mul(cost, constant(beta)))
 
 
 def alpha(gate: VibGate) -> np.ndarray:
@@ -124,7 +139,7 @@ def hard_mask(gate: VibGate, tau: float) -> np.ndarray:
     return (log_alpha(gate) > tau).astype(np.float32)
 
 
-def soft_keep(gate: VibGate, tau: float, temperature: float) -> Tensor:
+def soft_keep(gate, tau: float, temperature: float) -> Tensor:
     """Differentiable keep probability: sigmoid((log alpha - tau) / temperature)."""
     if temperature <= 0:
         raise ContractError("soft_keep: temperature must be > 0")

@@ -12,12 +12,20 @@ irrelevant, which is what lets extraction delete them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ContractError, DataError, FormatError
-from .gates import GateInit, Site, effective_hard, eval_mask, new_gate, sample_mask
+from .gates import (
+    GateInit,
+    GateVector,
+    Site,
+    effective_hard,
+    eval_mask,
+    new_gate,
+    sample_mask,
+)
 from .tensor import (
     Tensor,
     add,
@@ -34,6 +42,7 @@ from .tensor import (
     slice_lastdim,
     softmax_lastdim,
     transpose_last2,
+    tsum,
 )
 
 WEIGHT_INIT_STD = 0.02
@@ -78,8 +87,30 @@ class ForwardTrace:
         return self.logits_t.data.reshape(b, -1)
 
 
+class LayerSums(NamedTuple):
+    """Per-layer keep sums, each a column over layers (a float array, or a
+    graph vector): sub-layer keeps, kept heads, kept FFN units, and kept FFN
+    outputs (keep_out * keep_width summed over width dims)."""
+
+    mha: object
+    ffn: object
+    heads: object
+    inter: object
+    out: object
+
+    @staticmethod
+    def of(per_layer: list) -> "LayerSums":
+        """Columns of a list of per-layer (lm, lf, s_heads, s_inter, s_out)."""
+        return LayerSums(*np.array(per_layer, dtype=np.float64).reshape(-1, 5).T)
+
+
 class GateSet:
-    """All gates of one student model, in checkpoint order."""
+    """All gates of one student model, in checkpoint order.
+
+    The gate parameters stay the leaves; `vector` concatenates them on every
+    call, so a write to any gate's arrays is seen at once. Only constants are
+    built here: the 0/1 matrices that sum a per-unit vector in that order
+    into per-layer groups."""
 
     def __init__(self, config: ModelConfig, init: GateInit, betas: dict):
         c = config
@@ -98,6 +129,26 @@ class GateSet:
         self.layer_mha = [mk(1, Site.LAYER_MHA) for _ in range(c.layers)]
         self.layer_ffn = [mk(1, Site.LAYER_FFN) for _ in range(c.layers)]
 
+        gates = self.all()
+        self._sizes = [g.unit_count for g in gates]
+        units = sum(self._sizes)
+        start = dict(zip(map(id, gates), np.cumsum([0] + self._sizes[:-1])))
+
+        def member(group):
+            m = np.zeros((units, c.layers), dtype=np.float32)
+            for i, g in enumerate(group):
+                m[start[id(g)]:start[id(g)] + g.unit_count, i] = 1.0
+            return constant(m)
+
+        self._member = LayerSums(member(self.layer_mha), member(self.layer_ffn),
+                                 member(self.heads), member(self.inter),
+                                 member(self.out))
+        # copies the width keeps onto every FFN-output unit of the same dim
+        tile = np.zeros((c.width, units), dtype=np.float32)
+        for g in self.out:
+            tile[np.arange(c.width), start[id(g)] + np.arange(c.width)] = 1.0
+        self._tile = constant(tile)
+
     def named(self):
         yield "gate.embedding_width.0", self.width
         for i, g in enumerate(self.heads):
@@ -113,6 +164,27 @@ class GateSet:
 
     def all(self):
         return [g for _, g in self.named()]
+
+    def vector(self) -> GateVector:
+        """Every gate unit, in checkpoint order, as one pair of graph vectors."""
+        gates = self.all()
+        return GateVector(concat_lastdim([g.mu for g in gates]),
+                          concat_lastdim([g.log_sigma for g in gates]))
+
+    def unit_betas(self) -> np.ndarray:
+        """Each unit's information-cost weight, in `vector` order."""
+        return np.repeat(np.array([g.beta for g in self.all()], dtype=np.float32),
+                         self._sizes)
+
+    def keep_sums(self, keep: Tensor):
+        """(s_m, LayerSums) of a per-unit keep vector in `vector` order, as
+        graph tensors; the soft counterpart of `Structure.keep_sums`."""
+        k_m = slice_lastdim(keep, 0, self.width.unit_count)
+        m = self._member
+        pair = mul(keep, matmul(k_m, self._tile))
+        return tsum(k_m), LayerSums(matmul(keep, m.mha), matmul(keep, m.ffn),
+                                    matmul(keep, m.heads), matmul(keep, m.inter),
+                                    matmul(pair, m.out))
 
 
 def default_betas(config: ModelConfig, beta_global: float = 1e-3) -> dict:
@@ -286,9 +358,6 @@ class GatedTransformer:
             for gname, g in self.gates.named():
                 yield gname + ".mu", g.mu
                 yield gname + ".log_sigma", g.log_sigma
-
-    def clone_weights(self) -> dict:
-        return {k: v.data.copy() for k, v in self.params.items()}
 
 
 def build_teacher(config: ModelConfig, seed: int) -> GatedTransformer:

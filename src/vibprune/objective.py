@@ -5,7 +5,9 @@ The sparsity accounting is one polynomial, `kept_count`, over keep sums:
 soft keep probabilities as graph tensors for the optimizer, hard keep
 counts as floats for the dense-extraction oracle. It counts, per structural
 unit, the parameters or forward FLOPs that survive only if every gate unit
-covering them survives.
+covering them survives. Its per-layer sums are columns over layers, so the
+soft count is a fixed handful of graph nodes whatever the depth; the gate
+side likewise works on one vector holding every gate unit.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError, DegenerateModelError, ShapeError
 from .gates import kl_term, soft_keep
-from .model import GatedTransformer, ModelConfig, Structure, structure
+from .model import GatedTransformer, LayerSums, ModelConfig, Structure, structure
 from .tensor import (
     Tensor,
     add,
@@ -126,14 +128,10 @@ def layer_distill(student_hiddens: list, teacher_hiddens: list, w_layer: Tensor,
 
 
 def vib_loss(model: GatedTransformer) -> Tensor:
-    """Sum over gates of beta * information cost."""
+    """Sum over gate units of beta * information cost."""
     if model.gates is None:
         raise ContractError("vib_loss: model has no gates")
-    total = None
-    for g in model.gates.all():
-        term = scale(kl_term(g), g.beta)
-        total = term if total is None else add(total, term)
-    return total
+    return kl_term(model.gates.vector(), model.gates.unit_betas())
 
 
 # ---------------------------------------------------------------------------
@@ -179,19 +177,30 @@ class CountModel:
     def build(config: ModelConfig, metric: str, seq_ref: int = 32) -> "CountModel":
         if metric not in ("parameters", "flops"):
             raise ContractError(f"CountModel: unknown metric '{metric}'")
-        base = kept_count(config, metric, seq_ref, *full_keep_sums(config))
+        s_m, per_layer = full_keep_sums(config)
+        base = kept_count(config, metric, seq_ref, s_m, LayerSums.of(per_layer))
         return CountModel(config, metric, seq_ref, float(base))
 
 
-def kept_count(cfg: ModelConfig, metric: str, seq: int, s_m, per_layer: list):
+def _add_layer_total(kept, terms):
+    """`kept` plus the sum of a column of per-layer terms. On floats each
+    layer is added to `kept` in turn, one fixed summation order, so a
+    non-integer hard count (`CountModel.total_base` at an odd `seq_ref`)
+    never depends on how numpy groups a sum."""
+    if isinstance(terms, Tensor):
+        return kept + tsum(terms)
+    return sum(terms.tolist(), kept)
+
+
+def kept_count(cfg: ModelConfig, metric: str, seq: int, s_m, layers: LayerSums):
     """Parameters or forward FLOPs (one example at sequence length `seq`) that
     survive, from keep sums.
 
-    The sums are floats for the hard-mask count and graph Tensors for the
-    soft expected count; the same expression serves both, so the two agree by
-    construction. per_layer entries: (lm, lf, s_heads, s_inter, s_out), where
-    s_out sums keep_out * keep_width over width dims. A unit's cost counts only
-    if every gate covering it keeps it.
+    The sums are floats (columns of float64 arrays) for the hard-mask count
+    and graph Tensors for the soft expected count; the same expression serves
+    both, so the two agree by construction. Each per-layer term is computed
+    for all layers at once, then summed over layers. A unit's cost counts
+    only if every gate covering it keeps it.
 
     FLOPs convention: 2*m*n*k per matmul, one op per element for everything
     else; embedding lookup free; attention score and context products carry
@@ -201,68 +210,64 @@ def kept_count(cfg: ModelConfig, metric: str, seq: int, s_m, per_layer: list):
     # on Tensors each `+` and `*` is one graph node, so the grouping below is
     # the training graph's; regrouping would change its float32 rounding
     dh = cfg.head_dim
+    lm, lf, s_a, s_i, s_om = layers
     if metric == "parameters":
         kept = s_m * float(cfg.vocab_size + cfg.max_seq + cfg.num_classes)
-        for lm, lf, s_a, s_i, s_om in per_layer:
-            mha = s_a * (s_m * (4.0 * dh) + 3.0 * dh) + s_m * 3.0
-            ffn = (s_m * s_i + s_i) + ((s_i * s_om + s_om) + s_m * 2.0)
-            kept = kept + (lm * mha + lf * ffn)
-        return kept
+        mha = s_a * (s_m * (4.0 * dh) + 3.0 * dh) + s_m * 3.0
+        ffn = (s_m * s_i + s_i) + ((s_i * s_om + s_om) + s_m * 2.0)
+        return _add_layer_total(kept, lm * mha + lf * ffn)
     t = float(seq)
     # embedding add + final norm + classifier matmul
     kept = s_m * (2.0 * t + 2.0 * cfg.num_classes)
-    for lm, lf, s_a, s_i, s_om in per_layer:
-        mha = (
-            s_m * (3.0 * t)                                     # pre-norm + affine
-            + (s_a * ((s_m * (6.0 * t * dh) + 3.0 * t * dh)     # QKV matmuls + biases
-                      + (s_m * (4.0 * t * t * dh / cfg.width)   # scores + context
-                         + 2.0 * t * t))                        # scale + softmax
-               + (s_a * (s_m * (2.0 * t * dh))                  # output projection
-                  + s_m * (2.0 * t)))                           # its bias + residual
-        )
-        ffn = (
-            s_m * (3.0 * t)                                     # pre-norm + affine
-            + ((s_m * s_i * (2.0 * t) + s_i * (2.0 * t))        # up proj + bias, GELU
-               + (s_i * s_om * (2.0 * t) + s_om * (2.0 * t)))   # down proj + bias, residual
-        )
-        kept = kept + (lm * mha + lf * ffn)
-    return kept
+    mha = (
+        s_m * (3.0 * t)                                     # pre-norm + affine
+        + (s_a * ((s_m * (6.0 * t * dh) + 3.0 * t * dh)     # QKV matmuls + biases
+                  + (s_m * (4.0 * t * t * dh / cfg.width)   # scores + context
+                     + 2.0 * t * t))                        # scale + softmax
+           + (s_a * (s_m * (2.0 * t * dh))                  # output projection
+              + s_m * (2.0 * t)))                           # its bias + residual
+    )
+    ffn = (
+        s_m * (3.0 * t)                                     # pre-norm + affine
+        + ((s_m * s_i * (2.0 * t) + s_i * (2.0 * t))        # up proj + bias, GELU
+           + (s_i * s_om * (2.0 * t) + s_om * (2.0 * t)))   # down proj + bias, residual
+    )
+    return _add_layer_total(kept, lm * mha + lf * ffn)
 
 
 def full_keep_sums(config: ModelConfig):
     return Structure.full(config).keep_sums()
 
 
-def params_from_sums(cfg: ModelConfig, s_m: float, per_layer: list) -> float:
-    return kept_count(cfg, "parameters", 0, s_m, per_layer)
-
-
 def flops_from_sums(cfg: ModelConfig, seq: int, s_m: float, per_layer: list) -> float:
-    return kept_count(cfg, "flops", seq, s_m, per_layer)
+    """Forward FLOPs kept, from `Structure.keep_sums`' (s_m, per-layer list)."""
+    return kept_count(cfg, "flops", seq, s_m, LayerSums.of(per_layer))
 
 
 def hard_keep_sums(model: GatedTransformer, tau: float):
     return structure(model, tau).keep_sums()
 
 
+def soft_keep_sums(model: GatedTransformer, tau: float, temperature: float):
+    """(s_m, LayerSums) of the soft keep probabilities, as graph tensors: one
+    `soft_keep` over the model's whole gate vector."""
+    if model.gates is None:
+        raise ContractError("soft_keep_sums: model has no gates")
+    g = model.gates
+    return g.keep_sums(soft_keep(g.vector(), tau, temperature))
+
+
 def expected_sparsity(model: GatedTransformer, counts: CountModel, tau: float,
-                      temperature: float) -> Tensor:
-    """Differentiable sparsity estimate 1 - expected_kept / total_base."""
+                      temperature: float, sums=None) -> Tensor:
+    """Differentiable sparsity estimate 1 - expected_kept / total_base.
+    `sums` reuses `soft_keep_sums` the caller already built for this step."""
     if model.gates is None:
         raise ContractError("expected_sparsity: model has no gates")
     cfg = model.config
     if (cfg.width, cfg.layers) != (counts.config.width, counts.config.layers):
         raise ContractError("expected_sparsity: counts built for another config")
-    g = model.gates
-
-    def kept(gate):
-        return soft_keep(gate, tau, temperature)
-
-    k_m = kept(g.width)
-    per_layer = [(tsum(kept(g.layer_mha[i])), tsum(kept(g.layer_ffn[i])),
-                  tsum(kept(g.heads[i])), tsum(kept(g.inter[i])),
-                  tsum(mul(kept(g.out[i]), k_m))) for i in range(cfg.layers)]
-    total = kept_count(cfg, counts.metric, counts.seq_ref, tsum(k_m), per_layer)
+    s_m, layers = soft_keep_sums(model, tau, temperature) if sums is None else sums
+    total = kept_count(cfg, counts.metric, counts.seq_ref, s_m, layers)
     return add(constant(1.0), scale(total, -1.0 / counts.total_base))
 
 

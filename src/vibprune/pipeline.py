@@ -24,7 +24,7 @@ from .errors import (
     NumericError,
 )
 from .extract import survival_masks
-from .gates import GateInit, hard_mask, soft_keep
+from .gates import GateInit, hard_mask
 from .model import (
     GatedTransformer,
     ModelConfig,
@@ -43,6 +43,7 @@ from .objective import (
     layer_distill,
     layer_map,
     pred_distill,
+    soft_keep_sums,
     sparsity_loss,
     total_loss,
     update_lagrangian,
@@ -323,8 +324,8 @@ def prune_phase(student: GatedTransformer, teacher: GatedTransformer,
                 task = cross_entropy(trace.logits_t, lab[idx])
                 vib = vib_loss(student)
                 pred = pred_distill(trace.logits_t, t_logits)
-                keeps = [soft_keep(g, cfg.tau, cfg.temperature).item()
-                         for g in student.gates.layer_ffn]
+                sums = soft_keep_sums(student, cfg.tau, cfg.temperature)
+                keeps = sums[1].ffn.data.tolist()
                 alive = [k > 0.5 for k in keeps]
                 if not any(alive):
                     # distillation must map somewhere while gates are in flux;
@@ -334,7 +335,8 @@ def prune_phase(student: GatedTransformer, teacher: GatedTransformer,
                                     distill.w_layer, alive)
                 layer_d = layer_distill(trace.hidden_states, t_hiddens,
                                         distill.w_layer, mapping)
-                s_e = expected_sparsity(student, counts, cfg.tau, cfg.temperature)
+                s_e = expected_sparsity(student, counts, cfg.tau, cfg.temperature,
+                                        sums)
                 sp = sparsity_loss(controller, s_e)
                 loss = total_loss(task, vib, pred, layer_d, sp, cfg.eta)
                 loss_val = loss.item()
@@ -411,6 +413,7 @@ def finetune_phase(student: GatedTransformer, teacher: GatedTransformer,
 
     cache = _TeacherCache(teacher)
     rng_noise = np.random.default_rng(cfg.seed + 32)
+    vib = vib_loss(student)  # binarized gates never train: a constant; reported
     metrics = []
     step = 0
     for epoch in range(cfg.epochs_finetune):
@@ -420,7 +423,6 @@ def finetune_phase(student: GatedTransformer, teacher: GatedTransformer,
             try:
                 trace = forward(student, tb, "train", rng_noise)
                 task = cross_entropy(trace.logits_t, lab[idx])
-                vib = vib_loss(student)  # constant once binarized; reported
                 pred = pred_distill(trace.logits_t, t_logits)
                 mapping = layer_map(trace.hidden_states, t_hiddens,
                                     distill.w_layer, alive)

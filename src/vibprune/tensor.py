@@ -15,6 +15,7 @@ Design rules:
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -77,9 +78,6 @@ class Tensor:
             raise ShapeError(f"item: tensor has {self.data.size} elements")
         return self.data.item()
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self):
         self.grad = None
 
@@ -129,7 +127,7 @@ def _make(op: str, out: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Te
 
 
 def _is_scalar_like(shape: tuple) -> bool:
-    return int(np.prod(shape, dtype=np.int64)) == 1
+    return math.prod(shape) == 1
 
 
 def _broadcast_ok(a: tuple, b: tuple) -> bool:

@@ -333,6 +333,22 @@ class TestBadDenseReport:
         assert err.startswith("config error") and err.count("\n") == 1, err
 
 
+class TestBadDataset:
+    def test_label_outside_classes(self, cfg_path, tmp_path, capsys):
+        from vibprune.data import generate, save_dataset
+
+        ds = generate(Settings(parse_config_file(cfg_path), None).task_spec())
+        ds.labels[0] = 7                      # a train label; num_classes is 2
+        path = str(tmp_path / "dataset.bin")
+        save_dataset(ds, path)
+        rc = main(["train-teacher", "--config", cfg_path, "--out",
+                   str(tmp_path / "t"), "--dataset", path])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("data error") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 class TestReproducibility:
     def test_same_seed_same_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "r.cfg"

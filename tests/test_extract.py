@@ -211,10 +211,11 @@ class TestAccounting:
 
     def test_empty_model_base_is_zero(self):
         # with everything masked, the countable base hits zero exactly
-        from vibprune.objective import params_from_sums
+        from vibprune.model import LayerSums
+        from vibprune.objective import kept_count
 
         per = [(0.0, 0.0, 0.0, 0.0, 0.0)] * CFG.layers
-        assert params_from_sums(CFG, 0.0, per) == 0.0
+        assert kept_count(CFG, "parameters", 0, 0.0, LayerSums.of(per)) == 0.0
 
 
 class TestSurvivalMasks:
@@ -225,7 +226,8 @@ class TestSurvivalMasks:
             assert masks[name].shape == p.data.shape, name
 
     def test_surviving_counts_match_polynomial(self):
-        from vibprune.objective import hard_keep_sums, params_from_sums
+        from vibprune.model import LayerSums
+        from vibprune.objective import hard_keep_sums, kept_count
 
         _, s = make_binarized(seed=19, mutate=lambda s: (
             drop(s.gates.width, [0, 1]), drop(s.gates.out[0], [5, 6, 7]),
@@ -233,7 +235,8 @@ class TestSurvivalMasks:
         masks = survival_masks(s)
         total = sum(int(m.sum()) for n, m in masks.items() if n != "cls.bias")
         s_m, per = hard_keep_sums(s, 0.0)
-        assert total == int(params_from_sums(s.config, s_m, per))
+        assert total == int(kept_count(s.config, "parameters", 0, s_m,
+                                       LayerSums.of(per)))
 
     def test_classifier_bias_always_survives(self):
         _, s = make_binarized(seed=20)

@@ -8,7 +8,7 @@ import pytest
 
 from vibprune.errors import ContractError, DegenerateModelError, ShapeError
 from vibprune.gates import GateInit
-from vibprune.model import ModelConfig, build_teacher, forward
+from vibprune.model import LayerSums, ModelConfig, build_teacher, forward
 from vibprune.objective import (
     CountModel,
     DistillConfig,
@@ -18,9 +18,9 @@ from vibprune.objective import (
     flops_from_sums,
     full_keep_sums,
     hard_keep_sums,
+    kept_count,
     layer_distill,
     layer_map,
-    params_from_sums,
     pred_distill,
     sparsity_loss,
     total_loss,
@@ -182,7 +182,7 @@ class TestCounting:
                           ffn_dim=64, num_classes=2)
         s_m, per = full_keep_sums(cfg)
         # frozen regression constant, fixed once by direct enumeration
-        assert params_from_sums(cfg, s_m, per) == 20224.0
+        assert kept_count(cfg, "parameters", 0, s_m, LayerSums.of(per)) == 20224.0
         t = build_teacher(cfg, 0)
         direct = sum(p.data.size for n, p in t.params.items() if n != "cls.bias")
         assert direct == 20224

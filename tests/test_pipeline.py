@@ -29,6 +29,11 @@ SPEC = TaskSpec("majority_pair", vocab=16, seq=12, n_train=192, n_val=64,
                 n_test=64, seed=5)
 
 
+def weights(model) -> dict:
+    """A copy of every non-gate parameter array, by name."""
+    return {k: v.data.copy() for k, v in model.params.items()}
+
+
 def quick_run_cfg(**kw):
     base = dict(variant="vtrans", epochs_teacher=1, epochs_prune=1,
                 epochs_finetune=1, batch_size=32, seed=0, target=0.5,
@@ -133,10 +138,10 @@ class TestFreezePolicies:
     def test_faster_prune_leaves_weights_bitwise(self, teacher, dataset):
         s = make_student(teacher, quick_run_cfg())
         cfg = quick_run_cfg(variant="faster", subset_fraction=0.25, epochs_prune=2)
-        before = s.clone_weights()
+        before = weights(s)
         prune_phase(s, teacher, dataset, cfg)
         changed, frozen_ok = [], True
-        for name, arr in s.clone_weights().items():
+        for name, arr in weights(s).items():
             same = np.array_equal(arr, before[name])
             is_trainable = (".ln1." in name or ".ln2." in name
                             or name.endswith(".bias"))
@@ -179,7 +184,7 @@ class TestPruneLoop:
         for _ in range(2):
             s = make_student(teacher, quick_run_cfg(seed=6))
             _, metrics = prune_phase(s, teacher, dataset, quick_run_cfg(seed=6))
-            runs.append((metrics, s.clone_weights(),
+            runs.append((metrics, weights(s),
                          [g.mu.data.copy() for g in s.gates.all()]))
         (m1, w1, g1), (m2, w2, g2) = runs
         assert m1 == m2
@@ -216,9 +221,9 @@ class TestFinetune:
         from vibprune.extract import survival_masks
 
         surv = survival_masks(s, 0.0)
-        before = s.clone_weights()
+        before = weights(s)
         finetune_phase(s, teacher, dataset, quick_run_cfg(seed=8, epochs_finetune=2))
-        after = s.clone_weights()
+        after = weights(s)
         moved = 0
         for name, m in surv.items():
             dead = ~m
@@ -230,9 +235,9 @@ class TestFinetune:
     def test_zero_epochs_is_identity(self, teacher, dataset):
         s = make_student(teacher, quick_run_cfg(seed=9))
         binarize(s, 0.0)
-        before = s.clone_weights()
+        before = weights(s)
         finetune_phase(s, teacher, dataset, quick_run_cfg(seed=9, epochs_finetune=0))
-        for name, arr in s.clone_weights().items():
+        for name, arr in weights(s).items():
             np.testing.assert_array_equal(arr, before[name])
 
 
