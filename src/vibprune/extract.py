@@ -28,6 +28,14 @@ from .objective import flops_from_sums
 from .tensor import _gelu, _normalize, _softmax
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`x @ w + b`, the bias added in place: a second array of the product's
+    size costs more than the add."""
+    y = x @ w
+    y += b
+    return y
+
+
 def _widen(a: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     """`a` with its last-axis entries at positions `idx` of a zero last axis
     of length n."""
@@ -47,11 +55,21 @@ class DenseModel:
     # dropped outputs, so the residual is a plain add: an indexed add on the
     # stream's last axis costs far more than the zero columns' products
     _wd: dict = field(init=False, repr=False, compare=False)
+    # per alive attention layer: wq|wk|wv and their biases side by side, the
+    # query columns scaled by 1/sqrt(head_dim): one GEMM, no score scaling
+    _qkv: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         st, a, n = self.structure, self.arrays, self.d_kept
-        self._wd = {}
+        self._wd, self._qkv = {}, {}
+        qscale = np.float32(1.0 / math.sqrt(self.orig.head_dim))
         for i in range(self.orig.layers):
+            if st.mha[i]:
+                p = f"layer.{i}."
+                self._qkv[i] = tuple(
+                    np.concatenate([a[p + "wq" + t] * qscale, a[p + "wk" + t],
+                                    a[p + "wv" + t]], axis=-1)
+                    for t in (".weight", ".bias"))
             if st.ffn[i]:
                 p = f"layer.{i}."
                 pos = np.searchsorted(st.width, st.out[i])
@@ -82,21 +100,19 @@ class DenseModel:
             if st.mha[i]:
                 xn = self._norm(x, a[p + "ln1.weight"], a[p + "ln1.bias"])
                 nh = st.heads[i].size
-                # every kept head at once: (b, s, nh*dh) -> (b, nh, s, dh)
-                q, k, v = ((xn @ a[p + w + ".weight"] + a[p + w + ".bias"])
-                           .reshape(b, s, nh, dh).transpose(0, 2, 1, 3)
-                           for w in ("wq", "wk", "wv"))
+                # every kept head at once: (b, s, 3*nh*dh) -> 3 x (b, nh, s, dh)
+                qkv = _affine(xn, *self._qkv[i]).reshape(b, s, 3, nh, dh)
+                q, k, v = qkv.transpose(2, 0, 3, 1, 4)
                 scores = q @ k.transpose(0, 1, 3, 2)
-                scores *= 1.0 / math.sqrt(dh)
                 if c.causal:
                     scores[..., np.triu(np.ones((s, s), dtype=bool), 1)] = -1e9
                 ctx = (_softmax(scores) @ v).transpose(0, 2, 1, 3)
-                x += ctx.reshape(b, s, nh * dh) @ a[p + "wo.weight"] + a[p + "wo.bias"]
+                x += _affine(ctx.reshape(b, s, nh * dh), a[p + "wo.weight"],
+                             a[p + "wo.bias"])
             if st.ffn[i]:
                 xn2 = self._norm(x, a[p + "ln2.weight"], a[p + "ln2.bias"])
-                mid, _ = _gelu(xn2 @ a[p + "wu.weight"] + a[p + "wu.bias"])
-                wd, bd = self._wd[i]
-                x += mid @ wd + bd
+                mid, _ = _gelu(_affine(xn2, a[p + "wu.weight"], a[p + "wu.bias"]))
+                x += _affine(mid, *self._wd[i])
         pooled = self._norm(x[:, -1 if c.causal else 0, :])
         return pooled @ a["cls.weight"] + a["cls.bias"]
 

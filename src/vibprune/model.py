@@ -35,13 +35,17 @@ from .tensor import (
     gather_rows,
     gelu,
     layer_norm_lastdim,
+    linear,
     matmul,
+    merge_heads,
     mul,
     parameter,
+    repeat_lastdim,
     scale,
+    select_position,
     slice_lastdim,
     softmax_lastdim,
-    transpose_last2,
+    split_heads,
     tsum,
 )
 
@@ -405,26 +409,29 @@ class _MaskPack:
         if mode == "train" and not model.binarized:
             if rng is None:
                 raise ContractError("forward: train mode needs an rng for gate noise")
+            # the noise of one float64 draw per gate in this order, taken in two
+            # calls: the per-token noise of the unit gates, then the per-sample
+            # noise of the sub-layer gates; each gate reads its own block
+            units = [g.width, *g.heads, *g.inter, *g.out]
+            whole = [*g.layer_mha, *g.layer_ffn]
+            sizes = [batch * seqlen * u.unit_count for u in units]
+            tok = rng.standard_normal(sum(sizes)).astype(np.float32)
+            per = rng.standard_normal((len(whole), batch, 1, 1)).astype(np.float32)
+            per = np.repeat(per, seqlen, axis=2)
+            blocks = np.split(tok, np.cumsum(sizes)[:-1])
+            eps = {id(u): e.reshape(batch, seqlen, u.unit_count)
+                   for u, e in zip(units, blocks)}
+            eps.update((id(u), e) for u, e in zip(whole, per))
 
-            def draw(gate, per_sample=False):
-                if per_sample:
-                    e = rng.standard_normal((batch, 1, gate.unit_count))
-                    e = np.repeat(e, seqlen, axis=1)
-                else:
-                    e = rng.standard_normal((batch, seqlen, gate.unit_count))
-                return sample_mask(gate, e.astype(np.float32))
+            def draw(gate):
+                return sample_mask(gate, eps[id(gate)])
 
-            head_expand = np.zeros((c.heads, c.width), dtype=np.float32)
-            for h in range(c.heads):
-                head_expand[h, h * dh:(h + 1) * dh] = 1.0
-            he = constant(head_expand)
-            one_row = constant(np.ones((1, c.width), dtype=np.float32))
             self.width = draw(g.width)
-            self.heads = [matmul(draw(gh), he) for gh in g.heads]
+            self.heads = [repeat_lastdim(draw(gh), dh) for gh in g.heads]
             self.inter = [draw(gi) for gi in g.inter]
             self.out = [draw(go) for go in g.out]
-            self.lmha = [matmul(draw(gl, True), one_row) for gl in g.layer_mha]
-            self.lffn = [matmul(draw(gl, True), one_row) for gl in g.layer_ffn]
+            self.lmha = [repeat_lastdim(draw(gl), c.width) for gl in g.layer_mha]
+            self.lffn = [repeat_lastdim(draw(gl), c.width) for gl in g.layer_ffn]
         else:
             def vec(gate):
                 return constant(eval_mask(gate, tau))
@@ -470,48 +477,35 @@ def forward(model: GatedTransformer, tokens: np.ndarray, mode: str = "eval",
     attention_probs = []
     for i in range(c.layers):
         pre = f"layer.{i}."
-        # attention sub-layer
-        xn = layer_norm_lastdim(x)
-        xn = add(mul(xn, p[pre + "ln1.weight"]), p[pre + "ln1.bias"])
+        # attention sub-layer, every head at once: (batch, heads, seq, dh)
+        xn = layer_norm_lastdim(x, p[pre + "ln1.weight"], p[pre + "ln1.bias"])
         xr = _gate(xn, masks.width)
-        q = add(matmul(xr, p[pre + "wq.weight"]), p[pre + "wq.bias"])
-        k = add(matmul(xr, p[pre + "wk.weight"]), p[pre + "wk.bias"])
-        v = add(matmul(xr, p[pre + "wv.weight"]), p[pre + "wv.bias"])
-        heads_out = []
-        probs_np = []
-        for h in range(c.heads):
-            qh = slice_lastdim(q, h * dh, (h + 1) * dh)
-            kh = slice_lastdim(k, h * dh, (h + 1) * dh)
-            vh = slice_lastdim(v, h * dh, (h + 1) * dh)
-            scores = scale(matmul(qh, transpose_last2(kh)), 1.0 / np.sqrt(dh))
-            if c.causal:
-                scores = causal_mask_fill(scores)
-            probs = softmax_lastdim(scores)
-            probs_np.append(probs.data)
-            heads_out.append(matmul(probs, vh))
-        attention_probs.append(np.stack(probs_np, axis=1))
-        a = _gate(concat_lastdim(heads_out), masks.heads[i])
-        mha = add(matmul(a, p[pre + "wo.weight"]), p[pre + "wo.bias"])
+        q, k, v = (split_heads(linear(xr, p[pre + w + ".weight"], p[pre + w + ".bias"]),
+                               c.heads, keys=(w == "wk")) for w in ("wq", "wk", "wv"))
+        scores = scale(matmul(q, k), 1.0 / np.sqrt(dh))
+        if c.causal:
+            scores = causal_mask_fill(scores)
+        probs = softmax_lastdim(scores)
+        attention_probs.append(probs.data)
+        a = _gate(merge_heads(matmul(probs, v)), masks.heads[i])
+        mha = linear(a, p[pre + "wo.weight"], p[pre + "wo.bias"])
         mha = _gate(_gate(mha, masks.lmha[i]), masks.width)
         x = add(x, mha)
 
         # feed-forward sub-layer
-        xn2 = layer_norm_lastdim(x)
-        xn2 = add(mul(xn2, p[pre + "ln2.weight"]), p[pre + "ln2.bias"])
+        xn2 = layer_norm_lastdim(x, p[pre + "ln2.weight"], p[pre + "ln2.bias"])
         xr2 = _gate(xn2, masks.width)
-        mid = gelu(add(matmul(xr2, p[pre + "wu.weight"]), p[pre + "wu.bias"]))
+        mid = gelu(linear(xr2, p[pre + "wu.weight"], p[pre + "wu.bias"]))
         mid = _gate(mid, masks.inter[i])
-        ffn = add(matmul(mid, p[pre + "wd.weight"]), p[pre + "wd.bias"])
+        ffn = linear(mid, p[pre + "wd.weight"], p[pre + "wd.bias"])
         ffn = _gate(_gate(_gate(ffn, masks.out[i]), masks.lffn[i]), masks.width)
         x = add(x, ffn)
         hidden_states.append(x)
 
     # parameter-free final norm, masked read, single-position pooling
     xf = _gate(layer_norm_lastdim(x), masks.width)
-    sel = np.zeros((seqlen, 1), dtype=np.float32)
-    sel[seqlen - 1 if c.causal else 0, 0] = 1.0
-    pooled = transpose_last2(matmul(transpose_last2(xf), constant(sel)))  # (B,1,d)
-    logits = add(matmul(pooled, p["cls.weight"]), p["cls.bias"])          # (B,1,C)
+    pooled = select_position(xf, seqlen - 1 if c.causal else 0)           # (B,1,d)
+    logits = linear(pooled, p["cls.weight"], p["cls.bias"])               # (B,1,C)
 
     return ForwardTrace(logits, hidden_states, attention_probs, embedding_output)
 

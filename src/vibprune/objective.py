@@ -23,10 +23,11 @@ from .tensor import (
     Tensor,
     add,
     constant,
-    matmul,
+    linear,
     mean,
     mul,
     no_grad,
+    pick_lastdim,
     scale,
     softmax_lastdim,
     square,
@@ -44,14 +45,10 @@ _LOG_FLOOR = 1e-30  # keeps log(prob) finite when a class underflows
 def cross_entropy(logits_t: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of the true class."""
     b = logits_t.shape[0]
-    c = logits_t.shape[-1]
     labels = np.asarray(labels)
     if labels.shape != (b,):
         raise ShapeError(f"cross_entropy: labels shape {labels.shape} != ({b},)")
-    onehot = np.zeros((b, 1, c), dtype=np.float32)
-    onehot[np.arange(b), 0, labels] = 1.0
-    probs = softmax_lastdim(logits_t)
-    picked = matmul(mul(probs, constant(onehot)), constant(np.ones((c, 1), np.float32)))
+    picked = pick_lastdim(softmax_lastdim(logits_t), labels.reshape(logits_t.shape[:-1]))
     return scale(tsum(tlog(add(picked, constant(_LOG_FLOOR)))), -1.0 / b)
 
 
@@ -118,7 +115,7 @@ def layer_distill(student_hiddens: list, teacher_hiddens: list, w_layer: Tensor,
     projected = {}
     for i, j in enumerate(mapping):
         if j not in projected:
-            projected[j] = matmul(student_hiddens[j], w_layer)
+            projected[j] = linear(student_hiddens[j], w_layer)
         ht = teacher_hiddens[i]
         htd = ht if isinstance(ht, np.ndarray) else ht.data
         diff = add(projected[j], constant(-np.asarray(htd, dtype=np.float32)))

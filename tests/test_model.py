@@ -49,33 +49,47 @@ def _softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def manual_forward(model, tokens):
+def manual_forward(model, tokens, masks=None):
+    """float64, one head at a time. `masks` maps gate names to float64 masks
+    broadcastable over (batch, seq, units): 'width', 'heads' (per layer, one
+    entry per head), 'inter', 'out', 'lmha' and 'lffn' (per layer), and then
+    (logits, per-layer attention probs) come back; without it the model is
+    ungated and the logits come back."""
     cfg = model.config
     p = {k: v.data.astype(np.float64) for k, v in model.params.items()}
     b, s = tokens.shape
     dh = cfg.head_dim
-    x = p["emb.tok"][tokens] + p["emb.pos"][np.arange(s)]
+    one = np.ones(1)
+    m = masks or {"width": one, "heads": [np.ones(cfg.heads)] * cfg.layers,
+                  **{k: [one] * cfg.layers for k in ("inter", "out", "lmha", "lffn")}}
+    zm = m["width"]
+    x = (p["emb.tok"][tokens] + p["emb.pos"][np.arange(s)]) * zm
+    probs_per_layer = []
     for i in range(cfg.layers):
         pre = f"layer.{i}."
-        xn = _ln(x) * p[pre + "ln1.weight"] + p[pre + "ln1.bias"]
+        xn = (_ln(x) * p[pre + "ln1.weight"] + p[pre + "ln1.bias"]) * zm
         q = xn @ p[pre + "wq.weight"] + p[pre + "wq.bias"]
         k = xn @ p[pre + "wk.weight"] + p[pre + "wk.bias"]
         v = xn @ p[pre + "wv.weight"] + p[pre + "wv.bias"]
-        heads = []
+        heads, probs = [], []
         for h in range(cfg.heads):
             sl = slice(h * dh, (h + 1) * dh)
             scores = q[..., sl] @ np.swapaxes(k[..., sl], -1, -2) / np.sqrt(dh)
             if cfg.causal:
                 mask = np.triu(np.ones((s, s), dtype=bool), 1)
                 scores = np.where(mask, -1e9, scores)
-            heads.append(_softmax(scores) @ v[..., sl])
+            probs.append(_softmax(scores))
+            heads.append((probs[-1] @ v[..., sl]) * m["heads"][i][..., h:h + 1])
+        probs_per_layer.append(np.stack(probs, axis=1))
         a = np.concatenate(heads, axis=-1)
-        x = x + a @ p[pre + "wo.weight"] + p[pre + "wo.bias"]
-        xn2 = _ln(x) * p[pre + "ln2.weight"] + p[pre + "ln2.bias"]
-        x = x + _gelu(xn2 @ p[pre + "wu.weight"] + p[pre + "wu.bias"]) @ p[
-            pre + "wd.weight"] + p[pre + "wd.bias"]
-    pooled = _ln(x)[:, -1 if cfg.causal else 0, :]
-    return pooled @ p["cls.weight"] + p["cls.bias"]
+        x = x + (a @ p[pre + "wo.weight"] + p[pre + "wo.bias"]) * m["lmha"][i] * zm
+        xn2 = (_ln(x) * p[pre + "ln2.weight"] + p[pre + "ln2.bias"]) * zm
+        mid = _gelu(xn2 @ p[pre + "wu.weight"] + p[pre + "wu.bias"]) * m["inter"][i]
+        ffn = mid @ p[pre + "wd.weight"] + p[pre + "wd.bias"]
+        x = x + ffn * m["out"][i] * m["lffn"][i] * zm
+    pooled = (_ln(x) * zm)[:, -1 if cfg.causal else 0, :]
+    logits = pooled @ p["cls.weight"] + p["cls.bias"]
+    return (logits, probs_per_layer) if masks is not None else logits
 
 
 class TestConstruction:
@@ -291,6 +305,50 @@ class TestTrainMode:
         lm = mp.lmha[0].data  # (2, 5, width)
         for b in range(2):
             assert np.ptp(lm[b]) == 0.0  # constant across tokens and dims
+
+
+class TestBatchedAttention:
+    """The train-mode forward (every head at once, a step's gate noise in two
+    draws) against a per-head float64 reference fed one draw per gate."""
+
+    @pytest.mark.parametrize("causal", [False, True], ids=["bidirectional", "causal"])
+    def test_train_forward_matches_per_head_float64(self, causal):
+        cfg = ModelConfig(vocab_size=13, max_seq=10, width=12, layers=2, heads=3,
+                          ffn_dim=10, num_classes=3, causal=causal)
+        s = identity_student(build_teacher(cfg, seed=80))
+        rng = np.random.default_rng(81)
+        for g in s.gates.all():
+            g.mu.data = rng.normal(0.7, 0.5, g.unit_count).astype(np.float32)
+            g.log_sigma.data = rng.normal(-1.0, 0.3, g.unit_count).astype(np.float32)
+        for p in s.params.values():
+            p.data = (p.data + rng.normal(0, 0.3, p.shape)).astype(np.float32)
+        tk = toks(cfg, batch=4, seed=82, seqlen=7)
+        trace = forward(s, tk, "train", np.random.default_rng(83))
+
+        # the same noise as one float64 draw per gate from the same generator:
+        # per-token for width, heads, inter, out (layer by layer within a
+        # group), then per-sample for the sub-layer gates
+        ref, g, m = np.random.default_rng(83), s.gates, {}
+
+        def mask(gate, shape):
+            eps = ref.standard_normal(shape).astype(np.float32).astype(np.float64)
+            return gate.mu.data.astype(np.float64) + eps * np.exp(
+                gate.log_sigma.data.astype(np.float64))
+
+        def per_token(gate):
+            return mask(gate, tk.shape + (gate.unit_count,))
+
+        m["width"] = per_token(g.width)
+        for key in ("heads", "inter", "out"):
+            m[key] = [per_token(gi) for gi in getattr(g, key)]
+        for key, site in (("lmha", g.layer_mha), ("lffn", g.layer_ffn)):
+            m[key] = [mask(gl, (tk.shape[0], 1, 1)) for gl in site]
+        want, probs = manual_forward(s, tk, m)
+
+        got = trace.logits
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+        for got_p, want_p in zip(trace.attention_probs, probs):
+            np.testing.assert_allclose(got_p, want_p, rtol=0, atol=1e-5)
 
 
 class TestStructure:

@@ -16,19 +16,24 @@ from vibprune.tensor import (
     gelu,
     gradcheck,
     layer_norm_lastdim,
+    linear,
     matmul,
     mean,
+    merge_heads,
     mul,
     no_grad,
     parameter,
+    pick_lastdim,
+    repeat_lastdim,
     scale,
+    select_position,
     sigmoid,
     slice_lastdim,
     softmax_lastdim,
+    split_heads,
     square,
     texp,
     tlog,
-    transpose_last2,
     tsum,
 )
 
@@ -75,6 +80,12 @@ class TestForwardValues:
             matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
         with pytest.raises(ShapeError, match="add"):
             add(constant(np.ones((2, 3))), constant(np.ones((4,))))
+        with pytest.raises(ShapeError, match="linear"):
+            linear(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
+        with pytest.raises(ShapeError, match="pick_lastdim"):
+            pick_lastdim(constant(np.ones((2, 3))), np.array([0, 3]))
+        with pytest.raises(ShapeError, match="split_heads"):
+            split_heads(constant(np.ones((2, 3, 5))), 2)
 
     def test_numeric_error_on_nonfinite(self):
         with pytest.raises(NumericError, match="log"):
@@ -208,6 +219,41 @@ class TestBackwardBasics:
             y = square(x)
         assert y.node is None and not y.requires_grad
 
+    def test_frozen_operands_get_no_grad_others_unchanged(self):
+        # one graph over every primitive with more than one input; freezing
+        # some leaves must not move a single bit of the others' gradients
+        arrays = {"x": rnd((2, 3, 8), 70), "w": rnd((8, 8), 71), "b": rnd((8,), 72),
+                  "g": rnd((8,), 73), "n": rnd((8,), 74), "m": rnd((2, 3, 8), 75),
+                  "v": rnd((4,), 76), "u": rnd((4, 8), 77)}
+
+        def run(frozen):
+            t = {k: constant(a) if k in frozen else parameter(a)
+                 for k, a in arrays.items()}
+            h = layer_norm_lastdim(linear(t["x"], t["w"], t["b"]), t["g"], t["n"])
+            h = add(mul(h, t["m"]), concat_lastdim([t["v"], t["v"]]))
+            q = split_heads(h, 2)
+            k = split_heads(h, 2, keys=True)
+            h = merge_heads(matmul(softmax_lastdim(matmul(q, k)), q))
+            loss = add(tsum(square(h)), tsum(matmul(t["v"], t["u"])))
+            # each rule computes exactly the gradients its inputs require
+            for out in T._topo(loss):
+                if out.node is not None:
+                    grads = out.node.backward_fn(np.ones_like(out.data))
+                    for inp, g in zip(out.node.inputs, grads):
+                        assert (g is None) == (not inp.requires_grad), out.node.op
+            backward(loss)
+            return {k: v.grad for k, v in t.items()}
+
+        full = run(())
+        assert all(g is not None for g in full.values())
+        for frozen in (("w",), ("x", "g"), ("b", "n", "m"), ("v",), ("u", "w", "b")):
+            part = run(frozen)
+            for k, g in part.items():
+                if k in frozen:
+                    assert g is None, k
+                else:
+                    assert np.array_equal(g, full[k]), (frozen, k)
+
     def test_grad_accumulates_across_backwards(self):
         x = parameter([3.0])
         backward(tsum(square(x)))
@@ -258,8 +304,10 @@ class TestPrimitiveGradients:
     def test_mean(self):
         _fd_check_unary(mean, (3, 3), seed=17)
 
-    def test_transpose(self):
-        _fd_check_unary(lambda t: transpose_last2(t), (2, 3, 4), seed=18)
+    def test_split_merge_heads(self):
+        _fd_check_unary(lambda t: split_heads(t, 2), (2, 3, 4), seed=18)
+        _fd_check_unary(lambda t: split_heads(t, 2, keys=True), (2, 3, 4), seed=48)
+        _fd_check_unary(merge_heads, (2, 2, 3, 2), seed=49)
 
     def test_causal_fill(self):
         _fd_check_unary(lambda t: softmax_lastdim(causal_mask_fill(t)), (2, 4, 4), seed=19)
@@ -305,6 +353,40 @@ class TestPrimitiveGradients:
         idx = np.array([[0, 2, 2], [4, 1, 0]])
         err = gradcheck(lambda ps: tsum(square(gather_rows(ps[0], idx))), [table], eps=1e-4)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("frozen", [None, 0, 1, 2])
+    def test_linear_3d_each_operand_frozen(self, frozen):
+        ops = [rnd((2, 3, 4), seed=50), rnd((4, 5), seed=51), rnd((5,), seed=52)]
+        ts = [constant(a) if i == frozen else parameter(a) for i, a in enumerate(ops)]
+        probe = constant(rnd((2, 3, 5), seed=53, lo=0.5, hi=1.5))
+        err = gradcheck(lambda ps: tsum(mul(square(linear(*ts)), probe)),
+                        [t for t in ts if t.requires_grad], eps=1e-4)
+        assert err < 1e-4
+        assert all(t.grad is None for t in ts if not t.requires_grad)
+
+    def test_linear_without_bias(self):
+        x, w = parameter(rnd((2, 3, 4), seed=54)), parameter(rnd((4, 2), seed=55))
+        err = gradcheck(lambda ps: tsum(square(linear(ps[0], ps[1]))), [x, w], eps=1e-4)
+        assert err < 1e-4
+
+    def test_layer_norm_affine(self):
+        x = parameter(rnd((2, 3, 8), seed=56))
+        w, b = parameter(rnd((8,), seed=57)), parameter(rnd((8,), seed=58))
+        probe = constant(rnd((2, 3, 8), seed=59, lo=0.5, hi=1.5))
+        err = gradcheck(lambda ps: tsum(mul(layer_norm_lastdim(*ps), probe)), [x, w, b],
+                        eps=1e-4)
+        assert err < 1e-4
+
+    def test_repeat(self):
+        _fd_check_unary(lambda t: repeat_lastdim(t, 3), (2, 3, 2), seed=60)
+
+    def test_select(self):
+        _fd_check_unary(lambda t: select_position(t, 2), (2, 4, 3), seed=61)
+
+    def test_pick(self):
+        idx = np.array([[0, 3], [2, 2], [1, 0]])
+        _fd_check_unary(lambda t: tlog(pick_lastdim(softmax_lastdim(t), idx)), (3, 2, 4),
+                        seed=62)
 
     def test_concat(self):
         a = parameter(rnd((2, 3), seed=33))
