@@ -26,7 +26,6 @@ from .extract import (
     param_count,
     sparsity_report,
 )
-from .gates import GateInit
 from .model import (
     GatedTransformer,
     GateSet,
@@ -41,6 +40,8 @@ from .objective import (
     SparsityController,
     cross_entropy,
     expected_sparsity,
+    flops_from_sums,
+    full_keep_sums,
     layer_distill,
     layer_map,
     pred_distill,
@@ -97,9 +98,17 @@ _SCHEMA = {
     "prune.eta": (float, 0.5),
     "prune.beta_global": (float, 1e-3),
     "prune.seq_ref": (int, 32),
-    "analyze.tokens": (str, "0,1"),
+    "analyze.tokens": (tuple, (0, 1)),        # comma-separated token ids
     "gradcheck.batch": (int, 2),
     "gradcheck.seq": (int, 6),
+}
+
+# flag -> the config keys it overrides
+_OVERRIDES = {
+    "seed": ("run.seed", "data.seed"),
+    "variant": ("run.variant",),
+    "target": ("prune.target",),
+    "metric": ("prune.metric",),
 }
 
 
@@ -130,63 +139,53 @@ def _coerce(key: str, value: str):
             if value.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(value)
+        if typ is tuple:
+            return tuple(int(t) for t in value.split(","))
         return typ(value)
     except ValueError:
-        raise ConfigError(f"key '{key}': cannot parse '{value}' as {typ.__name__}")
+        what = "comma-separated ints" if typ is tuple else typ.__name__
+        raise ConfigError(f"key '{key}': cannot parse '{value}' as {what}")
 
 
 class Settings:
-    """Typed view over the merged config + CLI overrides."""
+    """Typed view over the merged config + CLI overrides. Every int setting
+    is >= 0, and every `analyze.tokens` id is below `model.vocab_size`."""
 
     def __init__(self, raw: dict, args):
         vals = {k: d for k, (t, d) in _SCHEMA.items()}
         for k, v in raw.items():
             vals[k] = _coerce(k, v)
-        if getattr(args, "seed", None) is not None:
-            vals["run.seed"] = args.seed
-            vals["data.seed"] = args.seed
-        if getattr(args, "variant", None) is not None:
-            vals["run.variant"] = args.variant
-        if getattr(args, "target", None) is not None:
-            vals["prune.target"] = args.target
-        if getattr(args, "metric", None) is not None:
-            vals["prune.metric"] = args.metric
+        for flag, keys in _OVERRIDES.items():
+            value = getattr(args, flag, None)
+            if value is not None:
+                vals.update(dict.fromkeys(keys, value))
+        for k, v in vals.items():
+            typ = _SCHEMA[k][0]
+            if typ is int and v < 0 or typ is tuple and min(v) < 0:
+                raise ConfigError(f"key '{k}' must not be negative, got {v}")
+        if max(vals["analyze.tokens"]) >= vals["model.vocab_size"]:
+            raise ConfigError("analyze.tokens holds an id outside the vocabulary "
+                              "of model.vocab_size")
         self.v = vals
 
+    def _section(self, *sections) -> dict:
+        """The values of the keys in `sections`, by the name after the dot."""
+        return {k.split(".", 1)[1]: v for k, v in self.v.items()
+                if k.split(".", 1)[0] in sections}
+
     def model_config(self) -> ModelConfig:
-        v = self.v
-        return ModelConfig(
-            vocab_size=v["model.vocab_size"], max_seq=v["model.max_seq"],
-            width=v["model.width"], layers=v["model.layers"],
-            heads=v["model.heads"], ffn_dim=v["model.ffn_dim"],
-            num_classes=v["model.num_classes"], causal=v["model.causal"])
+        return ModelConfig(**self._section("model"))
 
     def task_spec(self) -> TaskSpec:
-        v = self.v
-        if v["model.max_seq"] < v["data.seq"]:
+        if self.v["model.max_seq"] < self.v["data.seq"]:
             raise ConfigError("model.max_seq is smaller than data.seq")
-        return TaskSpec(
-            kind=v["data.kind"], vocab=v["model.vocab_size"], seq=v["data.seq"],
-            n_train=v["data.n_train"], n_val=v["data.n_val"],
-            n_test=v["data.n_test"], seed=v["data.seed"],
-            n_markers=v["data.n_markers"], signal_k=v["data.signal_k"],
-            signal_margin=v["data.signal_margin"])
+        return TaskSpec(vocab=self.v["model.vocab_size"], **self._section("data"))
 
     def run_config(self) -> RunConfig:
-        v = self.v
-        frac = v["train.subset_fraction"]
-        return RunConfig(
-            variant=v["run.variant"], epochs_teacher=v["train.epochs_teacher"],
-            epochs_prune=v["train.epochs_prune"],
-            epochs_finetune=v["train.epochs_finetune"],
-            batch_size=v["train.batch_size"], lr_weights=v["train.lr_weights"],
-            lr_gates=v["train.lr_gates"], lambda_lr=v["train.lambda_lr"],
-            subset_fraction=None if frac < 0 else frac, seed=v["run.seed"],
-            tau=v["prune.tau"], temperature=v["prune.temperature"],
-            target=v["prune.target"], metric=v["prune.metric"],
-            eta=v["prune.eta"], beta_global=v["prune.beta_global"],
-            seq_ref=v["prune.seq_ref"], warmup_frac=v["train.warmup_frac"],
-            gate_init=GateInit(seed=v["run.seed"]))
+        kw = self._section("run", "train", "prune")
+        if kw["subset_fraction"] < 0:
+            kw["subset_fraction"] = None        # the variant's default
+        return RunConfig(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +239,9 @@ def load_dense(config: ModelConfig, tensors: dict, report: dict) -> DenseModel:
 # shared command plumbing
 
 
-def _ensure_out(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 class MetricsWriter:
+    """One phase's JSON-lines log; a `with` block closes it on every exit."""
+
     def __init__(self, path: str):
         self.f = open(path, "w")
 
@@ -254,27 +249,84 @@ class MetricsWriter:
         self.f.write(json.dumps(record) + "\n")
         self.f.flush()
 
-    def close(self):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
         self.f.close()
 
 
-def _dataset(settings: Settings, args) -> Dataset:
-    """The given or generated dataset; a label outside the model's classes is
-    a DataError."""
-    if getattr(args, "dataset", None):
-        ds = load_dataset(args.dataset)
-    else:
-        ds = generate(settings.task_spec())
-    classes, top = settings.v["model.num_classes"], int(ds.labels.max(initial=0))
-    if top >= classes:
-        raise DataError(f"dataset label {top} is outside [0, {classes}), the "
-                        f"classes of model.num_classes")
-    return ds
+class RunContext:
+    """What every command starts from: the settings of --config and the
+    flags, the model and run configs built from them, the models and data
+    the flags name, and the --out directory the command writes to."""
 
+    def __init__(self, args, makes_out: bool = True):
+        self.args = args
+        self.settings = Settings(parse_config_file(args.config), args)
+        self.out = args.out or "."
+        if makes_out:
+            os.makedirs(self.out, exist_ok=True)
+        self.run = self.settings.run_config()
+        self.config = self.settings.model_config()
 
-def _load_student_ckpt(settings, run, path):
-    tensors = load_tensors(path)
-    return load_model(settings.model_config(), run, tensors, with_gates=True)
+    def path(self, name: str) -> str:
+        return os.path.join(self.out, name)
+
+    def dataset(self) -> Dataset:
+        """The --dataset file or a generated one; a label outside the
+        model's classes is a DataError."""
+        if self.args.dataset:
+            ds = load_dataset(self.args.dataset)
+        else:
+            ds = generate(self.settings.task_spec())
+        classes, top = self.config.num_classes, int(ds.labels.max(initial=0))
+        if top >= classes:
+            raise DataError(f"dataset label {top} is outside [0, {classes}), the "
+                            f"classes of model.num_classes")
+        return ds
+
+    def teacher(self) -> GatedTransformer:
+        teacher, _ = load_model(self.config, self.run,
+                                load_tensors(self.args.teacher), with_gates=False)
+        return teacher
+
+    def student(self) -> tuple:
+        """(student, distill) of --student, the student binarized at run.tau."""
+        student, distill = load_model(self.config, self.run,
+                                      load_tensors(self.args.student),
+                                      with_gates=True)
+        return binarize(student, self.run.tau), distill
+
+    def any_model(self):
+        """The --dense, --student or --teacher model, the first one given."""
+        args = self.args
+        if args.dense:
+            path = args.dense_report or os.path.join(os.path.dirname(args.dense),
+                                                     "dense.json")
+            if not os.path.exists(path):
+                raise ConfigError(f"dense report not found: {path}")
+            with open(path) as f:
+                try:
+                    report = json.load(f)
+                except ValueError as e:
+                    raise FormatError(f"{path}: not JSON: {e}")
+            return load_dense(self.config, load_tensors(args.dense), report)
+        if args.student:
+            return self.student()[0]
+        if args.teacher:
+            return self.teacher()
+        raise ConfigError("give one of --teacher, --student, --dense")
+
+    def metrics(self, phase: str) -> MetricsWriter:
+        """The log `<phase>.metrics.jsonl`, for a `with` block. The module's
+        `MetricsWriter` is read at each call, so a subclass swapped in there
+        is the one opened."""
+        return MetricsWriter(self.path(f"{phase}.metrics.jsonl"))
+
+    def write_json(self, name: str, obj) -> None:
+        with open(self.path(name), "w") as f:
+            json.dump(obj, f, indent=1)
 
 
 # ---------------------------------------------------------------------------
@@ -282,170 +334,109 @@ def _load_student_ckpt(settings, run, path):
 
 
 def cmd_train_teacher(args):
-    settings = Settings(parse_config_file(args.config), args)
-    out = _ensure_out(args)
-    run = settings.run_config()
-    ds = _dataset(settings, args)
-    save_dataset(ds, os.path.join(out, "dataset.bin"))
-    writer = MetricsWriter(os.path.join(out, "teacher.metrics.jsonl"))
-    teacher = train_teacher(settings.model_config(), ds, run, metrics_cb=writer)
-    writer.close()
-    save_tensors(model_tensors(teacher), os.path.join(out, "teacher.ckpt"))
+    ctx = RunContext(args)
+    ds = ctx.dataset()
+    save_dataset(ds, ctx.path("dataset.bin"))
+    with ctx.metrics("teacher") as writer:
+        teacher = train_teacher(ctx.config, ds, ctx.run, metrics_cb=writer)
+    save_tensors(model_tensors(teacher), ctx.path("teacher.ckpt"))
     acc = evaluate(teacher, *ds.split("val"))
     print(json.dumps({"val_accuracy": acc,
                       "params": param_count(teacher),
-                      "flops": flop_count(teacher, settings.v["prune.seq_ref"])}))
+                      "flops": flop_count(teacher, ctx.run.seq_ref)}))
     return 0
 
 
 def cmd_prune(args):
-    settings = Settings(parse_config_file(args.config), args)
-    out = _ensure_out(args)
-    run = settings.run_config()
+    ctx = RunContext(args)
     if not args.teacher:
         raise ConfigError("prune requires --teacher <checkpoint>")
-    teacher, _ = load_model(settings.model_config(), run,
-                            load_tensors(args.teacher), with_gates=False)
-    ds = _dataset(settings, args)
-    student = make_student(teacher, run)
-    distill = DistillConfig(eta=run.eta, width=settings.model_config().width)
-    writer = MetricsWriter(os.path.join(out, "prune.metrics.jsonl"))
-    controller, metrics = prune_phase(student, teacher, ds, run, distill,
-                                      metrics_cb=writer)
-    writer.close()
-    save_tensors(model_tensors(student, distill), os.path.join(out, "pruned.ckpt"))
-    final = metrics[-1]
-    print(json.dumps({"s_e": final["s_e"], "t": run.target,
+    teacher = ctx.teacher()
+    ds = ctx.dataset()
+    student = make_student(teacher, ctx.run)
+    distill = DistillConfig(eta=ctx.run.eta, width=ctx.config.width)
+    with ctx.metrics("prune") as writer:
+        controller, metrics = prune_phase(student, teacher, ds, ctx.run, distill,
+                                          metrics_cb=writer)
+    save_tensors(model_tensors(student, distill), ctx.path("pruned.ckpt"))
+    print(json.dumps({"s_e": metrics[-1]["s_e"], "t": ctx.run.target,
                       "lambda1": controller.lambda1,
                       "lambda2": controller.lambda2}))
     return 0
 
 
 def cmd_finetune(args):
-    settings = Settings(parse_config_file(args.config), args)
-    out = _ensure_out(args)
-    run = settings.run_config()
+    ctx = RunContext(args)
     if not args.teacher or not args.student:
         raise ConfigError("finetune requires --teacher and --student checkpoints")
-    teacher, _ = load_model(settings.model_config(), run,
-                            load_tensors(args.teacher), with_gates=False)
-    student, distill = _load_student_ckpt(settings, run, args.student)
-    binarize(student, run.tau)
-    ds = _dataset(settings, args)
-    writer = MetricsWriter(os.path.join(out, "finetune.metrics.jsonl"))
-    finetune_phase(student, teacher, ds, run, distill, metrics_cb=writer)
-    writer.close()
-    save_tensors(model_tensors(student, distill),
-                 os.path.join(out, "finetuned.ckpt"))
+    teacher = ctx.teacher()
+    student, distill = ctx.student()
+    ds = ctx.dataset()
+    with ctx.metrics("finetune") as writer:
+        finetune_phase(student, teacher, ds, ctx.run, distill, metrics_cb=writer)
+    save_tensors(model_tensors(student, distill), ctx.path("finetuned.ckpt"))
     acc = evaluate(student, *ds.split("val"))
     print(json.dumps({"val_accuracy": acc}))
     return 0
 
 
 def cmd_extract(args):
-    settings = Settings(parse_config_file(args.config), args)
-    out = _ensure_out(args)
-    run = settings.run_config()
+    ctx = RunContext(args)
     if not args.student:
         raise ConfigError("extract requires --student <checkpoint>")
-    student, _ = _load_student_ckpt(settings, run, args.student)
-    binarize(student, run.tau)
+    student, _ = ctx.student()
+    cfg, seq_ref = ctx.config, ctx.run.seq_ref
     teacher_params = param_count(student)  # same shapes as the teacher
-    seq_ref = settings.v["prune.seq_ref"]
-    from .objective import full_keep_sums, flops_from_sums
-
-    cfgm = settings.model_config()
-    teacher_flops = int(round(flops_from_sums(cfgm, seq_ref,
-                                              *full_keep_sums(cfgm))))
+    teacher_flops = int(round(flops_from_sums(cfg, seq_ref, *full_keep_sums(cfg))))
     dense = extract_dense(student)
     report = sparsity_report(dense, teacher_params, teacher_flops, seq_ref)
-    save_tensors(dense.arrays, os.path.join(out, "dense.ckpt"))
-    with open(os.path.join(out, "dense.json"), "w") as f:
-        json.dump(report, f, indent=1)
-    print(json.dumps({"params": report["params"], "flops": report["flops"],
-                      "sparsity_params": report["sparsity_params"],
-                      "sparsity_flops": report["sparsity_flops"]}))
+    save_tensors(dense.arrays, ctx.path("dense.ckpt"))
+    ctx.write_json("dense.json", report)
+    print(json.dumps({k: report[k] for k in ("params", "flops", "sparsity_params",
+                                             "sparsity_flops")}))
     return 0
 
 
-def _load_any_model(settings, run, args):
-    """teacher/student/dense checkpoint, whichever was given."""
-    if getattr(args, "dense", None):
-        path = args.dense_report or os.path.join(os.path.dirname(args.dense),
-                                                 "dense.json")
-        if not os.path.exists(path):
-            raise ConfigError(f"dense report not found: {path}")
-        with open(path) as f:
-            try:
-                report = json.load(f)
-            except ValueError as e:
-                raise FormatError(f"{path}: not JSON: {e}")
-        return load_dense(settings.model_config(), load_tensors(args.dense), report)
-    if getattr(args, "student", None):
-        student, _ = _load_student_ckpt(settings, run, args.student)
-        binarize(student, run.tau)
-        return student
-    if getattr(args, "teacher", None):
-        teacher, _ = load_model(settings.model_config(), run,
-                                load_tensors(args.teacher), with_gates=False)
-        return teacher
-    raise ConfigError("give one of --teacher, --student, --dense")
-
-
 def cmd_eval(args):
-    settings = Settings(parse_config_file(args.config), args)
-    run = settings.run_config()
-    model = _load_any_model(settings, run, args)
-    ds = _dataset(settings, args)
-    acc = evaluate(model, *ds.split("test"))
+    ctx = RunContext(args, makes_out=False)
+    model = ctx.any_model()
+    acc = evaluate(model, *ctx.dataset().split("test"))
     print(json.dumps({"accuracy": acc, "params": param_count(model),
-                      "flops": flop_count(model, settings.v["prune.seq_ref"])}))
+                      "flops": flop_count(model, ctx.run.seq_ref)}))
     return 0
 
 
 def cmd_analyze(args):
-    settings = Settings(parse_config_file(args.config), args)
-    out = _ensure_out(args)
-    run = settings.run_config()
-    model = _load_any_model(settings, run, args)
-    ds = _dataset(settings, args)
-    tokens, _ = ds.split("test")
-    token_ids = [int(t) for t in settings.v["analyze.tokens"].split(",")]
-
-    if isinstance(model, DenseModel):
-        pattern = analysis.pruning_pattern(model)
-        with open(os.path.join(out, "pruning_pattern.json"), "w") as f:
-            json.dump(pattern, f, indent=1)
-        print(json.dumps({"written": ["pruning_pattern.json"]}))
-        return 0
-
-    stats = analysis.token_attention(model, tokens, token_ids, run.tau)
-    with open(os.path.join(out, "token_attention.json"), "w") as f:
-        json.dump({
+    ctx = RunContext(args)
+    model = ctx.any_model()
+    tokens, _ = ctx.dataset().split("test")
+    reports = {}
+    if not isinstance(model, DenseModel):
+        token_ids = ctx.settings.v["analyze.tokens"]
+        stats = analysis.token_attention(model, tokens, token_ids, ctx.run.tau)
+        reports["token_attention.json"] = {
             "token_ids": token_ids,
             "token_share": {f"{l}.{h}": v for (l, h), v in stats.token_share.items()},
             "offset_share": {f"{l}.{h}": v for (l, h), v in
                              stats.offset_share.items()},
-        }, f, indent=1)
-    mat, pairs = analysis.head_js(model, tokens, run.tau)
-    with open(os.path.join(out, "head_divergence.json"), "w") as f:
-        json.dump({"pairs": [list(p) for p in pairs], "matrix": mat.tolist()}, f,
-                  indent=1)
-    written = ["token_attention.json", "head_divergence.json"]
-    if model.gates is not None:
-        with open(os.path.join(out, "pruning_pattern.json"), "w") as f:
-            json.dump(analysis.pruning_pattern(model), f, indent=1)
-        written.append("pruning_pattern.json")
-    print(json.dumps({"written": written}))
+        }
+        mat, pairs = analysis.head_js(model, tokens, ctx.run.tau)
+        reports["head_divergence.json"] = {"pairs": [list(p) for p in pairs],
+                                           "matrix": mat.tolist()}
+    if isinstance(model, DenseModel) or model.gates is not None:
+        reports["pruning_pattern.json"] = analysis.pruning_pattern(model)
+    for name, obj in reports.items():
+        ctx.write_json(name, obj)
+    print(json.dumps({"written": list(reports)}))
     return 0
 
 
 def cmd_gradcheck(args):
-    settings = Settings(parse_config_file(args.config), args)
-    run = settings.run_config()
-    cfgm = settings.model_config()
-    results = run_gradcheck_suite(cfgm, run, batch=settings.v["gradcheck.batch"],
-                                  seqlen=settings.v["gradcheck.seq"])
+    ctx = RunContext(args, makes_out=False)
+    batch, seqlen = ctx.settings.v["gradcheck.batch"], ctx.settings.v["gradcheck.seq"]
+    if batch < 1 or seqlen < 1:
+        raise ConfigError("gradcheck.batch and gradcheck.seq must be >= 1")
+    results = run_gradcheck_suite(ctx.config, ctx.run, batch=batch, seqlen=seqlen)
     ok = True
     for name, (err, thresh) in results.items():
         status = "PASS" if err < thresh else "FAIL"

@@ -75,7 +75,6 @@ class RunConfig:
     seq_ref: int = 32
     warmup_frac: float = 0.3
     gate_init: GateInit = None
-    eval_every_epoch: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -86,6 +85,10 @@ class RunConfig:
             raise ContractError("RunConfig: subset_fraction must be in (0, 1]")
         if self.variant == "vtrans" and self.subset_fraction != 1.0:
             raise ContractError("RunConfig: the vtrans variant requires the full data")
+        if self.batch_size < 1 or self.seq_ref < 1:
+            raise ContractError("RunConfig: batch_size and seq_ref must be >= 1")
+        if not 0.0 <= self.warmup_frac <= 1.0:
+            raise ContractError("RunConfig: warmup_frac must be in [0, 1]")
         if self.gate_init is None:
             self.gate_init = GateInit(seed=self.seed)
 
@@ -240,7 +243,7 @@ def train_teacher(config: ModelConfig, dataset: Dataset, cfg: RunConfig,
             if metrics_cb:
                 metrics_cb(_record(step, "teacher", val, loss_task=val))
             step += 1
-        if metrics_cb and cfg.eval_every_epoch:
+        if metrics_cb:
             acc = evaluate(teacher, vt, vl)
             metrics_cb(_record(step - 1, "teacher", val, loss_task=val,
                                val_accuracy=acc))
@@ -285,7 +288,6 @@ class _TeacherCache:
 
 def prune_phase(student: GatedTransformer, teacher: GatedTransformer,
                 dataset: Dataset, cfg: RunConfig, distill: DistillConfig = None,
-                controller: SparsityController = None, counts: CountModel = None,
                 metrics_cb=None):
     """Run the gate-training loop; returns (controller, metrics list)."""
     if student.gates is None:
@@ -293,8 +295,7 @@ def prune_phase(student: GatedTransformer, teacher: GatedTransformer,
     c = student.config
     if distill is None:
         distill = DistillConfig(eta=cfg.eta, width=c.width)
-    if counts is None:
-        counts = CountModel.build(c, cfg.metric, cfg.seq_ref)
+    counts = CountModel.build(c, cfg.metric, cfg.seq_ref)
 
     tok, lab = dataset.split("train")
     tok, lab = subset(tok, lab, cfg.subset_fraction, cfg.seed + 21)
@@ -302,10 +303,12 @@ def prune_phase(student: GatedTransformer, teacher: GatedTransformer,
     rng_batches = np.random.default_rng(cfg.seed + 22)
     batches = _batches(len(lab), cfg.batch_size, rng_batches)  # fixed partition
     total_steps = cfg.epochs_prune * len(batches)
-    if controller is None:
-        controller = SparsityController(
-            metric=cfg.metric, target=cfg.target, lambda_lr=cfg.lambda_lr,
-            warmup_steps=max(1, int(cfg.warmup_frac * total_steps)))
+    if total_steps == 0:
+        raise ContractError("prune_phase: epochs_prune is 0 or the training "
+                            "split is empty, so no step would run")
+    controller = SparsityController(
+        metric=cfg.metric, target=cfg.target, lambda_lr=cfg.lambda_lr,
+        warmup_steps=max(1, int(cfg.warmup_frac * total_steps)))
 
     named = _trainable(student, distill, cfg.variant, "prune")
     opt = AdamW(named, cfg.lr_weights, cfg.lr_gates)
@@ -356,7 +359,7 @@ def prune_phase(student: GatedTransformer, teacher: GatedTransformer,
             if metrics_cb:
                 metrics_cb(rec)
             step += 1
-        if metrics_cb and cfg.eval_every_epoch:
+        if metrics_cb:
             acc = evaluate(student, vt, vl)
             metrics_cb(_record(step - 1, "prune", loss_val, s_e=s_e_val,
                                t_cur=controller.t_cur, lambda1=controller.lambda1,
@@ -454,7 +457,7 @@ def finetune_phase(student: GatedTransformer, teacher: GatedTransformer,
             if metrics_cb:
                 metrics_cb(rec)
             step += 1
-        if metrics_cb and cfg.eval_every_epoch:
+        if metrics_cb:
             acc = evaluate(student, vt, vl)
             metrics_cb(_record(step - 1, "finetune", loss_val, val_accuracy=acc))
     return metrics

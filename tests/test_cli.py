@@ -4,6 +4,7 @@ full command chain end to end on a tiny model."""
 import functools
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vibprune import cli
 from vibprune.checkpoint import load_tensors, save_tensors
-from vibprune.cli import Settings, main, parse_config_file
+from vibprune.cli import Settings, main, model_tensors, parse_config_file
 from vibprune.errors import ConfigError, FormatError
 from vibprune.extract import extract_dense, sparsity_report
 from vibprune.model import build_teacher
@@ -347,6 +349,83 @@ class TestBadDataset:
         assert rc == 1
         assert err.startswith("data error") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+
+class TestMalformedSettings:
+    """A malformed setting, in the config or a flag: exit 1 and one stderr
+    line of the category that names it, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def teacher_ckpt(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("teacher")
+        (d / "run.cfg").write_text(TINY_CONFIG)
+        cfgm = Settings(parse_config_file(str(d / "run.cfg")), None).model_config()
+        save_tensors(model_tensors(build_teacher(cfgm, 0)), str(d / "teacher.ckpt"))
+        return str(d / "teacher.ckpt")
+
+    @pytest.mark.parametrize("key, value, command, category", [
+        ("train.batch_size", "0", "train-teacher", "contract error"),
+        ("train.batch_size", "0", "prune", "contract error"),
+        ("train.batch_size", "-1", "train-teacher", "config error"),
+        ("train.batch_size", "-1", "prune", "config error"),
+        ("train.epochs_prune", "0", "prune", "contract error"),
+        ("analyze.tokens", "a,b", "analyze", "config error"),
+        ("analyze.tokens", "", "analyze", "config error"),
+        ("analyze.tokens", "70000", "analyze", "config error"),
+        ("gradcheck.batch", "0", "gradcheck", "config error"),
+        ("gradcheck.seq", "0", "gradcheck", "config error"),
+        ("run.seed", "-1", "train-teacher", "config error"),
+        ("data.seed", "-1", "train-teacher", "config error"),
+        ("--seed", "-2", "train-teacher", "config error"),
+        ("--seed", "-2", "gradcheck", "config error"),
+        ("prune.seq_ref", "-3", "eval", "config error"),
+        ("prune.seq_ref", "0", "eval", "contract error"),
+        ("train.warmup_frac", "nan", "prune", "contract error"),
+    ])
+    def test_one_categorized_line(self, teacher_ckpt, tmp_path, capsys, key, value,
+                                  command, category):
+        cfg = tmp_path / "run.cfg"
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if key.startswith("--"):
+            cfg.write_text(TINY_CONFIG)
+            argv += [key, value]
+        else:
+            cfg.write_text(TINY_CONFIG + f"{key} = {value}\n")
+        if command in ("prune", "eval", "analyze"):
+            argv += ["--teacher", teacher_ckpt]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(category + ":") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
+def test_metrics_log_closed_when_a_phase_fails(tmp_path, monkeypatch, capsys):
+    opened = []
+
+    class Recording(cli.MetricsWriter):
+        def __init__(self, path):
+            super().__init__(path)
+            opened.append(self)
+
+    monkeypatch.setattr(cli, "MetricsWriter", Recording)
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(TINY_CONFIG + "train.lr_weights = nan\n")
+    rc = main(["train-teacher", "--config", str(cfg), "--out", str(tmp_path / "t")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("numeric") and err.count("\n") == 1, err
+    assert opened and all(w.f.closed for w in opened)
+
+
+def test_readme_config_table_lists_every_key():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as f:
+        text = f.read()
+    table = text.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    keys = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \|", table, re.M)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(cli._SCHEMA)
 
 
 class TestReproducibility:

@@ -105,7 +105,7 @@ def test_gate_side_graph_does_not_grow_with_depth(metric):
 
 def prune_step_nodes(monkeypatch, cfg, spec, **settings) -> int:
     """Graph nodes recorded by one prune step (the dataset holds one batch)."""
-    run = RunConfig(epochs_prune=1, eval_every_epoch=False, **settings)
+    run = RunConfig(epochs_prune=1, **settings)
     teacher = build_teacher(cfg, 0)
     student = make_student(teacher, run)
     recorded = []

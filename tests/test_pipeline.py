@@ -36,8 +36,7 @@ def weights(model) -> dict:
 
 def quick_run_cfg(**kw):
     base = dict(variant="vtrans", epochs_teacher=1, epochs_prune=1,
-                epochs_finetune=1, batch_size=32, seed=0, target=0.5,
-                eval_every_epoch=False)
+                epochs_finetune=1, batch_size=32, seed=0, target=0.5)
     base.update(kw)
     return RunConfig(**base)
 
