@@ -464,16 +464,10 @@ def run_gradcheck_suite(cfgm: ModelConfig, run: RunConfig, batch: int = 2,
     controller = SparsityController(target=run.target, lambda1=0.4, lambda2=0.8,
                                     warmup_steps=0)
 
-    class FrozenNoise:
-        def __init__(self, seed):
-            self.seed, self.n = seed, 0
-
-        def standard_normal(self, shape):
-            self.n += 1
-            return np.random.default_rng((self.seed, self.n)).standard_normal(shape)
-
     def student_fwd():
-        return model_forward(student, tokens, "train", FrozenNoise(run.seed + 2))
+        # a fresh generator per call, so every evaluation draws the same noise
+        fresh = np.random.default_rng(run.seed + 2)
+        return model_forward(student, tokens, "train", fresh)
 
     mapping = layer_map(student_fwd().hidden_states, t_hiddens, distill.w_layer,
                         [True] * cfgm.layers)

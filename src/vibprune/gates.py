@@ -18,13 +18,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .tensor import (
     Tensor,
     add,
     constant,
     mul,
     parameter,
+    reparam,
     scale,
     sigmoid,
     square,
@@ -103,17 +104,26 @@ def new_gate(unit_count: int, site: Site, beta: float, init: GateInit) -> VibGat
     return VibGate(unit_count, site, beta, mu, log_sigma)
 
 
+def normal32(rng, n: int) -> np.ndarray:
+    """`n` standard normal float32 values, Box-Muller on one call
+    `rng.random(2 * ceil(n / 2), dtype=np.float32)` = (u1, u2): r cos(2 pi u2)
+    then r sin(2 pi u2), r = sqrt(-2 log(1 - u1)); 1 - u1 in (0, 1] keeps r finite."""
+    h = (n + 1) // 2
+    u = rng.random(2 * h, dtype=np.float32)
+    r, t = u[:h], u[h:]
+    np.log(np.subtract(1.0, r, out=r), out=r)
+    np.sqrt(np.multiply(r, -2.0, out=r), out=r)
+    t *= np.float32(2.0 * np.pi)
+    out = np.empty(2 * h, dtype=np.float32)
+    np.multiply(np.cos(t, out=out[:h]), r, out=out[:h])
+    np.multiply(np.sin(t, out=out[h:]), r, out=out[h:])
+    return out[:n]
+
+
 def sample_mask(gate: VibGate, epsilon) -> Tensor:
     """Mask tensor mu + eps * sigma of shape (batch, seq, unit_count), with eps
     supplied by the caller; differentiable in mu/log_sigma."""
-    eps = np.asarray(epsilon, dtype=np.float32)
-    if eps.ndim != 3 or eps.shape[-1] != gate.unit_count:
-        raise ShapeError(
-            f"sample_mask: epsilon shape {eps.shape} does not match "
-            f"(batch, seq, {gate.unit_count})"
-        )
-    noise = mul(constant(eps), texp(gate.log_sigma))
-    return add(noise, gate.mu)
+    return reparam(gate.mu, gate.log_sigma, np.asarray(epsilon, dtype=np.float32))
 
 
 def kl_term(gate, beta: np.ndarray = None) -> Tensor:

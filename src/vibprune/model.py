@@ -24,6 +24,7 @@ from .gates import (
     effective_hard,
     eval_mask,
     new_gate,
+    normal32,
     sample_mask,
 )
 from .tensor import (
@@ -409,19 +410,16 @@ class _MaskPack:
         if mode == "train" and not model.binarized:
             if rng is None:
                 raise ContractError("forward: train mode needs an rng for gate noise")
-            # the noise of one float64 draw per gate in this order, taken in two
-            # calls: the per-token noise of the unit gates, then the per-sample
-            # noise of the sub-layer gates; each gate reads its own block
+            # one float32 draw a step, a contiguous block per gate: per token
+            # for the unit gates, then per sample for the sub-layer gates
             units = [g.width, *g.heads, *g.inter, *g.out]
             whole = [*g.layer_mha, *g.layer_ffn]
-            sizes = [batch * seqlen * u.unit_count for u in units]
-            tok = rng.standard_normal(sum(sizes)).astype(np.float32)
-            per = rng.standard_normal((len(whole), batch, 1, 1)).astype(np.float32)
-            per = np.repeat(per, seqlen, axis=2)
-            blocks = np.split(tok, np.cumsum(sizes)[:-1])
+            sizes = [batch * seqlen * u.unit_count for u in units] + [batch] * len(whole)
+            blocks = np.split(normal32(rng, sum(sizes)), np.cumsum(sizes)[:-1])
             eps = {id(u): e.reshape(batch, seqlen, u.unit_count)
                    for u, e in zip(units, blocks)}
-            eps.update((id(u), e) for u, e in zip(whole, per))
+            eps.update((id(u), e.reshape(batch, 1, 1).repeat(seqlen, axis=1))
+                       for u, e in zip(whole, blocks[len(units):]))
 
             def draw(gate):
                 return sample_mask(gate, eps[id(gate)])

@@ -132,7 +132,8 @@ def _trainable(student: GatedTransformer, distill: DistillConfig, variant: str,
 
 
 class AdamW:
-    """Decoupled-weight-decay adaptive moments; no decay on gates, norms, biases."""
+    """Decoupled-weight-decay adaptive moments; no decay on gates, norms, biases.
+    A step is a few whole-vector operations, in each entry's operation order."""
 
     def __init__(self, named_params: list, lr_weights: float, lr_gates: float,
                  weight_decay: float = 0.01, betas=(0.9, 0.999), eps: float = 1e-8):
@@ -142,8 +143,13 @@ class AdamW:
             self.entries.append({
                 "name": name, "p": p, "lr": lr_gates if is_gate else lr_weights,
                 "wd": 0.0 if trains_norm_bias_gates(name) else weight_decay,
-                "m": np.zeros_like(p.data), "v": np.zeros_like(p.data),
             })
+        self._sizes = np.array([p.size for _, p in named_params], dtype=np.int64)
+        self.lr, self.wd = (np.repeat(np.array([e[k] for e in self.entries],
+                                               dtype=np.float32), self._sizes)
+                            for k in ("lr", "wd"))
+        self.m = np.zeros(self._sizes.sum(), dtype=np.float32)
+        self.v = np.zeros_like(self.m)
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
@@ -152,17 +158,23 @@ class AdamW:
         self.t += 1
         b1t = 1.0 - self.b1**self.t
         b2t = 1.0 - self.b2**self.t
-        for e in self.entries:
-            p = e["p"]
-            if p.grad is None:
-                continue
-            g = p.grad.astype(np.float32)
-            e["m"] = self.b1 * e["m"] + (1 - self.b1) * g
-            e["v"] = self.b2 * e["v"] + (1 - self.b2) * g * g
-            upd = (e["m"] / b1t) / (np.sqrt(e["v"] / b2t) + self.eps)
-            if e["wd"]:
-                upd = upd + e["wd"] * p.data
-            p.data = (p.data - e["lr"] * upd).astype(np.float32)
+        ps = [e["p"] for e in self.entries]
+        live = [p for p in ps if p.grad is not None]
+        if not live:
+            return
+        # an entry without a gradient keeps its moments and data
+        at = (slice(None) if len(live) == len(ps)
+              else np.repeat([p.grad is not None for p in ps], self._sizes))
+        g = np.concatenate([p.grad.reshape(-1) for p in live], dtype=np.float32)
+        x = np.concatenate([p.data.reshape(-1) for p in live], dtype=np.float32)
+        m = self.b1 * self.m[at] + (1 - self.b1) * g
+        v = self.b2 * self.v[at] + (1 - self.b2) * g * g
+        self.m[at], self.v[at] = m, v
+        upd = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        upd += self.wd[at] * x      # adds +0.0 where an entry has no decay
+        x -= self.lr[at] * upd
+        for p, part in zip(live, np.split(x, np.cumsum([p.size for p in live])[:-1])):
+            p.data = part.reshape(p.shape)
 
     def zero_grad(self):
         for e in self.entries:
@@ -226,18 +238,21 @@ def train_teacher(config: ModelConfig, dataset: Dataset, cfg: RunConfig,
     teacher = build_teacher(config, cfg.seed)
     opt = AdamW(list(teacher.named_params()), cfg.lr_weights, cfg.lr_gates)
     rng_data = np.random.default_rng(cfg.seed + 11)
-    rng_noise = np.random.default_rng(cfg.seed + 12)
     tok, lab = dataset.split("train")
     vt, vl = dataset.split("val")
     step = 0
     for epoch in range(cfg.epochs_teacher):
         for idx in _batches(len(lab), cfg.batch_size, rng_data):
-            trace = forward(teacher, tok[idx].astype(np.int64), "train", rng_noise)
-            loss = cross_entropy(trace.logits_t, lab[idx])
-            val = loss.item()
-            if not np.isfinite(val):
-                raise DivergenceError(f"teacher training diverged at step {step}")
-            backward(loss)
+            try:
+                trace = forward(teacher, tok[idx].astype(np.int64), "train")
+                loss = cross_entropy(trace.logits_t, lab[idx])
+                val = loss.item()
+                if not np.isfinite(val):
+                    raise NumericError("loss is not finite")
+                backward(loss)
+            except NumericError as e:
+                raise DivergenceError(
+                    f"teacher training diverged at step {step}: {e.detail}")
             opt.step()
             opt.zero_grad()
             if metrics_cb:
@@ -415,7 +430,6 @@ def finetune_phase(student: GatedTransformer, teacher: GatedTransformer,
         alive = [True] * c.layers
 
     cache = _TeacherCache(teacher)
-    rng_noise = np.random.default_rng(cfg.seed + 32)
     vib = vib_loss(student)  # binarized gates never train: a constant; reported
     metrics = []
     step = 0
@@ -424,7 +438,7 @@ def finetune_phase(student: GatedTransformer, teacher: GatedTransformer,
             tb = tok[idx].astype(np.int64)
             t_logits, t_hiddens = cache.get(bi, tb)
             try:
-                trace = forward(student, tb, "train", rng_noise)
+                trace = forward(student, tb, "train")
                 task = cross_entropy(trace.logits_t, lab[idx])
                 pred = pred_distill(trace.logits_t, t_logits)
                 mapping = layer_map(trace.hidden_states, t_hiddens,

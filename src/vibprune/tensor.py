@@ -336,11 +336,34 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     out = table.data[idx]
 
     def bw(g):
+        # the rows of g in stable index order, one reduceat segment per index
+        order = np.argsort(idx, axis=None, kind="stable")
+        rows, starts = np.unique(idx.reshape(-1)[order], return_index=True)
         gt = np.zeros_like(table.data, dtype=g.dtype)
-        np.add.at(gt, idx.reshape(-1), g.reshape(-1, table.shape[1]))
+        gt[rows] = np.add.reduceat(g.reshape(-1, table.shape[1])[order], starts, axis=0)
         return [gt]
 
     return _make("gather_rows", out, [table], bw)
+
+
+def reparam(mu: Tensor, log_sigma: Tensor, eps: np.ndarray) -> Tensor:
+    """`mu + eps * exp(log_sigma)` as one node, for vectors of shape (n,) and
+    constant noise `eps` of shape (..., n): the arithmetic of the chain
+    `add(mul(constant(eps), texp(log_sigma)), mu)`, so the same bits."""
+    if not mu.shape == log_sigma.shape == eps.shape[-1:]:
+        raise ShapeError(f"reparam: mu {mu.shape} and log_sigma {log_sigma.shape} "
+                         f"do not match noise {eps.shape}")
+    with np.errstate(over="ignore"):
+        sigma = np.exp(log_sigma.data)
+    out = eps * sigma
+    out += mu.data
+
+    def bw(g):
+        return [_unbroadcast(g, mu.shape) if mu.requires_grad else None,
+                _unbroadcast(g * eps, sigma.shape) * sigma
+                if log_sigma.requires_grad else None]
+
+    return _make("reparam", out, [mu, log_sigma], bw)
 
 
 def gelu(x: Tensor) -> Tensor:

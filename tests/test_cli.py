@@ -417,6 +417,15 @@ def test_metrics_log_closed_when_a_phase_fails(tmp_path, monkeypatch, capsys):
     assert opened and all(w.f.closed for w in opened)
 
 
+def test_teacher_divergence_names_the_step(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(TINY_CONFIG + "train.lr_weights = nan\n")
+    rc = main(["train-teacher", "--config", str(cfg), "--out", str(tmp_path / "t")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1, err
+    assert err.startswith("numeric divergence: teacher training diverged at step 1: "), err
+
+
 def test_readme_config_table_lists_every_key():
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "README.md")

@@ -17,6 +17,7 @@ from vibprune.gates import (
     hard_mask,
     kl_term,
     new_gate,
+    normal32,
     sample_mask,
     soft_keep,
 )
@@ -73,6 +74,39 @@ class TestSampling:
         eps = np.random.default_rng(11).normal(size=(10000, 1, 1))
         z = sample_mask(g, eps).data
         assert abs(z.mean() - 0.8) < 3 * 0.5 / 100
+
+
+class TestNormal32:
+    def test_standard_normal(self):
+        x = normal32(np.random.default_rng(0), 1_000_000)
+        assert x.dtype == np.float32 and x.shape == (1_000_000,)
+        assert np.isfinite(x).all()
+        x = np.sort(x.astype(np.float64))
+        assert abs(x.mean()) <= 3e-3
+        assert abs(x.var() - 1.0) <= 5e-3
+        # Kolmogorov-Smirnov distance to the standard normal CDF
+        cdf = np.frompyfunc(lambda v: 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))),
+                            1, 1)(x).astype(np.float64)
+        n = x.size
+        ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+        assert ks <= 1.5e-3
+
+    def test_odd_count_and_seed_repeat(self):
+        a = normal32(np.random.default_rng(21), 7)
+        b = normal32(np.random.default_rng(21), 7)
+        assert a.shape == (7,) and a.dtype == np.float32
+        np.testing.assert_array_equal(a, b)
+        assert normal32(np.random.default_rng(21), 0).shape == (0,)
+
+    def test_edge_uniforms_stay_finite(self):
+        class Edges:
+            def random(self, n, dtype):
+                u = np.zeros(n, dtype=dtype)
+                u[: n // 2] = np.nextafter(np.float32(1.0), np.float32(0.0))
+                return u
+
+        x = normal32(Edges(), 4)
+        assert np.isfinite(x).all() and np.abs(x).max() < 6.0
 
 
 class TestKl:

@@ -6,7 +6,7 @@ import pytest
 
 import vibprune.model as model_mod
 from vibprune.errors import ContractError, DataError, FormatError
-from vibprune.gates import GateInit
+from vibprune.gates import GateInit, normal32
 from vibprune.model import (
     GatedTransformer,
     ModelConfig,
@@ -306,10 +306,23 @@ class TestTrainMode:
         for b in range(2):
             assert np.ptp(lm[b]) == 0.0  # constant across tokens and dims
 
+    def test_one_generator_call_per_forward(self):
+        s = identity_student(build_teacher(CFG, seed=55))
+        calls = []
+
+        class Counting:
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(np.random.default_rng(56), name)
+
+        forward(s, toks(CFG, seed=57), "train", rng=Counting())
+        assert calls == ["random"]
+
 
 class TestBatchedAttention:
-    """The train-mode forward (every head at once, a step's gate noise in two
-    draws) against a per-head float64 reference fed one draw per gate."""
+    """The train-mode forward (every head at once, a step's gate noise in one
+    draw) against a per-head float64 reference that splits the same draw
+    per gate."""
 
     @pytest.mark.parametrize("causal", [False, True], ids=["bidirectional", "causal"])
     def test_train_forward_matches_per_head_float64(self, causal):
@@ -325,13 +338,16 @@ class TestBatchedAttention:
         tk = toks(cfg, batch=4, seed=82, seqlen=7)
         trace = forward(s, tk, "train", np.random.default_rng(83))
 
-        # the same noise as one float64 draw per gate from the same generator:
-        # per-token for width, heads, inter, out (layer by layer within a
-        # group), then per-sample for the sub-layer gates
-        ref, g, m = np.random.default_rng(83), s.gates, {}
+        # the same noise as one sampler draw from the same generator, read in
+        # consecutive blocks: per-token for width, heads, inter, out (layer by
+        # layer within a group), then per-sample for the sub-layer gates
+        g, m = s.gates, {}
+        b, t = tk.shape
+        n = b * t * sum(gi.unit_count for gi in (g.width, *g.heads, *g.inter, *g.out))
+        draw = iter(normal32(np.random.default_rng(83), n + 2 * cfg.layers * b))
 
         def mask(gate, shape):
-            eps = ref.standard_normal(shape).astype(np.float32).astype(np.float64)
+            eps = np.fromiter(draw, np.float64, count=np.prod(shape)).reshape(shape)
             return gate.mu.data.astype(np.float64) + eps * np.exp(
                 gate.log_sigma.data.astype(np.float64))
 

@@ -267,6 +267,45 @@ class TestOptimizer:
         assert wds["layer.0.wq.bias"] == 0
         assert wds["gate.heads.0.mu"] == 0
 
+    def test_flat_step_equals_per_entry_loop(self):
+        from vibprune.tensor import parameter
+
+        rng = np.random.default_rng(3)
+        names = ["layer.0.wq.weight", "layer.0.wq.bias", "gate.heads.0.mu",
+                 "distill.w_layer"]
+        shapes = [(3, 4), (4,), (2,), (5, 5)]
+        init = [rng.normal(size=sh).astype(np.float32) for sh in shapes]
+        params = [parameter(a) for a in init]
+        opt = AdamW(list(zip(names, params)), 0.01, 0.1)
+        lrs = [e["lr"] for e in opt.entries]
+        wds = [e["wd"] for e in opt.entries]
+        assert wds[0] > 0 and wds[1] == 0 and lrs[2] == 0.1
+
+        # the per-entry loop the flat update replaced
+        ref, m, v = [a.copy() for a in init], [0.0] * 4, [0.0] * 4
+        for t in range(1, 6):
+            b1t, b2t = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for i, p in enumerate(params):
+                skip = (t == 2 and i == 0) or (t == 4 and i == 3)
+                p.grad = None if skip else rng.normal(size=shapes[i]).astype(np.float32)
+            before = [p.data.copy() for p in params]
+            opt.step()
+            for i, p in enumerate(params):
+                if p.grad is None:
+                    np.testing.assert_array_equal(p.data, before[i])
+                    continue
+                g = p.grad.astype(np.float32)
+                m[i] = 0.9 * m[i] + (1 - 0.9) * g
+                v[i] = 0.999 * v[i] + (1 - 0.999) * g * g
+                upd = (m[i] / b1t) / (np.sqrt(v[i] / b2t) + 1e-8)
+                if wds[i]:
+                    upd = upd + wds[i] * ref[i]
+                ref[i] = (ref[i] - lrs[i] * upd).astype(np.float32)
+            for p, want in zip(params, ref):
+                assert p.data.dtype == np.float32
+                np.testing.assert_array_equal(p.data, want)
+            opt.zero_grad()
+
     def test_step_moves_param_against_gradient(self):
         from vibprune.tensor import parameter
 

@@ -25,6 +25,7 @@ from vibprune.tensor import (
     parameter,
     pick_lastdim,
     repeat_lastdim,
+    reparam,
     scale,
     select_position,
     sigmoid,
@@ -352,6 +353,40 @@ class TestPrimitiveGradients:
         table = parameter(rnd((5, 3), seed=32))
         idx = np.array([[0, 2, 2], [4, 1, 0]])
         err = gradcheck(lambda ps: tsum(square(gather_rows(ps[0], idx))), [table], eps=1e-4)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("idx", [np.array([[0, 2, 2], [2, 2, 0]]),
+                                     np.full((4, 3), 3), np.zeros((0, 3), np.int64)],
+                             ids=["repeated", "single", "empty"])
+    def test_gather_rows_backward_matches_add_at(self, idx):
+        table = parameter(rnd((5, 6), seed=33))
+        g = rnd(idx.shape + (6,), seed=34)
+        got = gather_rows(table, idx).node.backward_fn(g)[0]
+        want = np.zeros((5, 6), dtype=np.float32)
+        np.add.at(want, idx.reshape(-1), g.reshape(-1, 6))
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (3, 4, 1)])
+    def test_reparam_equals_three_node_chain(self, shape):
+        eps = rnd(shape, seed=35)
+        w = rnd(shape, seed=36)
+        runs = []
+        for sample in (lambda mu, ls: reparam(mu, ls, eps),
+                       lambda mu, ls: add(mul(constant(eps), texp(ls)), mu)):
+            mu = parameter(rnd(shape[-1:], seed=37))
+            ls = parameter(rnd(shape[-1:], seed=38) - 1.0)
+            z = sample(mu, ls)
+            backward(tsum(mul(square(z), constant(w))))
+            runs.append((z.data.copy(), mu.grad, ls.grad))
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+
+    def test_reparam_gradcheck(self):
+        eps = rnd((3, 4, 5), seed=39)
+        mu, ls = parameter(rnd((5,), seed=40)), parameter(rnd((5,), seed=41) - 1.0)
+        err = gradcheck(lambda ps: tsum(square(reparam(ps[0], ps[1], eps))),
+                        [mu, ls], eps=1e-4)
         assert err < 1e-4
 
     @pytest.mark.parametrize("frozen", [None, 0, 1, 2])
