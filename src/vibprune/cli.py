@@ -206,7 +206,7 @@ def load_model(config: ModelConfig, run: RunConfig, tensors: dict,
     if with_gates:
         model.gates = GateSet(config, run.gate_init,
                               default_betas(config, run.beta_global))
-    distill = DistillConfig(eta=run.eta, width=config.width)
+    distill = DistillConfig(width=config.width)
     seen = set()
     for name, p in model.named_params():
         if name not in tensors:
@@ -354,7 +354,7 @@ def cmd_prune(args):
     teacher = ctx.teacher()
     ds = ctx.dataset()
     student = make_student(teacher, ctx.run)
-    distill = DistillConfig(eta=ctx.run.eta, width=ctx.config.width)
+    distill = DistillConfig(width=ctx.config.width)
     with ctx.metrics("prune") as writer:
         controller, metrics = prune_phase(student, teacher, ds, ctx.run, distill,
                                           metrics_cb=writer)
@@ -459,7 +459,7 @@ def run_gradcheck_suite(cfgm: ModelConfig, run: RunConfig, batch: int = 2,
         ttr = model_forward(teacher, tokens, "eval")
     t_logits = ttr.logits_t.data.copy()
     t_hiddens = [h.data.copy() for h in ttr.hidden_states]
-    distill = DistillConfig(eta=run.eta, width=cfgm.width)
+    distill = DistillConfig(width=cfgm.width)
     counts = CountModel.build(cfgm, run.metric, run.seq_ref)
     controller = SparsityController(target=run.target, lambda1=0.4, lambda2=0.8,
                                     warmup_steps=0)

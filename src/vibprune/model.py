@@ -84,7 +84,6 @@ class ForwardTrace:
     logits_t: Tensor                    # (batch, 1, classes), in the graph
     hidden_states: list                 # per layer, (batch, seq, width) tensors
     attention_probs: list               # per layer, (batch, heads, seq, seq) arrays
-    embedding_output: Tensor            # (batch, seq, width)
 
     @property
     def logits(self) -> np.ndarray:
@@ -186,10 +185,10 @@ class GateSet:
         graph tensors; the soft counterpart of `Structure.keep_sums`."""
         k_m = slice_lastdim(keep, 0, self.width.unit_count)
         m = self._member
-        pair = mul(keep, matmul(k_m, self._tile))
-        return tsum(k_m), LayerSums(matmul(keep, m.mha), matmul(keep, m.ffn),
-                                    matmul(keep, m.heads), matmul(keep, m.inter),
-                                    matmul(pair, m.out))
+        pair = mul(keep, linear(k_m, self._tile))
+        return tsum(k_m), LayerSums(linear(keep, m.mha), linear(keep, m.ffn),
+                                    linear(keep, m.heads), linear(keep, m.inter),
+                                    linear(pair, m.out))
 
 
 def default_betas(config: ModelConfig, beta_global: float = 1e-3) -> dict:
@@ -469,7 +468,6 @@ def forward(model: GatedTransformer, tokens: np.ndarray, mode: str = "eval",
     pos = np.broadcast_to(np.arange(seqlen), (batch, seqlen))
     x = add(gather_rows(p["emb.tok"], tokens), gather_rows(p["emb.pos"], pos))
     x = _gate(x, masks.width)
-    embedding_output = x
 
     hidden_states = []
     attention_probs = []
@@ -505,5 +503,5 @@ def forward(model: GatedTransformer, tokens: np.ndarray, mode: str = "eval",
     pooled = select_position(xf, seqlen - 1 if c.causal else 0)           # (B,1,d)
     logits = linear(pooled, p["cls.weight"], p["cls.bias"])               # (B,1,C)
 
-    return ForwardTrace(logits, hidden_states, attention_probs, embedding_output)
+    return ForwardTrace(logits, hidden_states, attention_probs)
 

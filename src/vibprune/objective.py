@@ -72,13 +72,10 @@ def pred_distill(student_logits: Tensor, teacher_logits: np.ndarray) -> Tensor:
 
 @dataclass
 class DistillConfig:
-    eta: float = 0.5
     width: int = 0
     w_layer: Tensor = None
 
     def __post_init__(self):
-        if not (0.0 <= self.eta <= 1.0):
-            raise ContractError("DistillConfig: eta must be in [0, 1]")
         if self.w_layer is None:
             if self.width < 1:
                 raise ContractError("DistillConfig: width needed to build w_layer")
@@ -137,7 +134,6 @@ def vib_loss(model: GatedTransformer) -> Tensor:
 
 @dataclass
 class SparsityController:
-    metric: str = "parameters"          # or "flops"
     target: float = 0.5
     lambda1: float = 0.0
     lambda2: float = 0.0
@@ -148,8 +144,6 @@ class SparsityController:
     def __post_init__(self):
         if not (0.0 < self.target < 1.0):
             raise ContractError("SparsityController: target must be in (0, 1)")
-        if self.metric not in ("parameters", "flops"):
-            raise ContractError(f"SparsityController: unknown metric '{self.metric}'")
         if self.t_cur is None:
             self.t_cur = 0.0 if self.warmup_steps > 0 else self.target
 
@@ -261,7 +255,7 @@ def expected_sparsity(model: GatedTransformer, counts: CountModel, tau: float,
     if model.gates is None:
         raise ContractError("expected_sparsity: model has no gates")
     cfg = model.config
-    if (cfg.width, cfg.layers) != (counts.config.width, counts.config.layers):
+    if cfg != counts.config:
         raise ContractError("expected_sparsity: counts built for another config")
     s_m, layers = soft_keep_sums(model, tau, temperature) if sums is None else sums
     total = kept_count(cfg, counts.metric, counts.seq_ref, s_m, layers)

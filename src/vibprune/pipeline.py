@@ -8,6 +8,7 @@ Variants:
 After the pruning phase the gates are frozen to mu * hard 0/1 masks
 (binarize); finetuning then updates only entries that survive the masks,
 and extraction turns the result into a physically smaller dense model.
+All three training phases run one step loop, `_run_phase`.
 """
 
 from __future__ import annotations
@@ -89,6 +90,10 @@ class RunConfig:
             raise ContractError("RunConfig: batch_size and seq_ref must be >= 1")
         if not 0.0 <= self.warmup_frac <= 1.0:
             raise ContractError("RunConfig: warmup_frac must be in [0, 1]")
+        if not 0.0 <= self.eta <= 1.0:
+            raise ContractError("RunConfig: eta must be in [0, 1]")
+        if self.metric not in ("parameters", "flops"):
+            raise ContractError(f"RunConfig: unknown metric '{self.metric}'")
         if self.gate_init is None:
             self.gate_init = GateInit(seed=self.seed)
 
@@ -133,25 +138,32 @@ def _trainable(student: GatedTransformer, distill: DistillConfig, variant: str,
 
 class AdamW:
     """Decoupled-weight-decay adaptive moments; no decay on gates, norms, biases.
-    A step is a few whole-vector operations, in each entry's operation order."""
+    A step is a few whole-vector operations, in each entry's operation order.
+
+    `keep` maps a parameter name to a boolean array of its shape: a step
+    never writes an entry that is False there, so the entry keeps its exact
+    bits (a zero learning rate would not: `-0.0 - 0 * upd` is `+0.0`)."""
+
+    b1, b2, eps, weight_decay = 0.9, 0.999, 1e-8, 0.01
 
     def __init__(self, named_params: list, lr_weights: float, lr_gates: float,
-                 weight_decay: float = 0.01, betas=(0.9, 0.999), eps: float = 1e-8):
+                 keep: dict = None):
         self.entries = []
         for name, p in named_params:
             is_gate = name.startswith("gate.") or name == "distill.w_layer"
             self.entries.append({
                 "name": name, "p": p, "lr": lr_gates if is_gate else lr_weights,
-                "wd": 0.0 if trains_norm_bias_gates(name) else weight_decay,
+                "wd": 0.0 if trains_norm_bias_gates(name) else self.weight_decay,
             })
         self._sizes = np.array([p.size for _, p in named_params], dtype=np.int64)
         self.lr, self.wd = (np.repeat(np.array([e[k] for e in self.entries],
                                                dtype=np.float32), self._sizes)
                             for k in ("lr", "wd"))
+        self.keep = None if keep is None else np.concatenate(
+            [np.broadcast_to(keep.get(n, True), p.shape).reshape(-1)
+             for n, p in named_params])
         self.m = np.zeros(self._sizes.sum(), dtype=np.float32)
         self.v = np.zeros_like(self.m)
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
 
     def step(self):
@@ -172,7 +184,8 @@ class AdamW:
         self.m[at], self.v[at] = m, v
         upd = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
         upd += self.wd[at] * x      # adds +0.0 where an entry has no decay
-        x -= self.lr[at] * upd
+        np.subtract(x, self.lr[at] * upd, out=x,
+                    where=True if self.keep is None else self.keep[at])
         for p, part in zip(live, np.split(x, np.cumsum([p.size for p in live])[:-1])):
             p.data = part.reshape(p.shape)
 
@@ -214,19 +227,71 @@ def _batches(n: int, batch_size: int, rng) -> list:
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def evaluate(model, tokens: np.ndarray, labels: np.ndarray,
-             batch_size: int = 64) -> float:
-    """Classification accuracy under eval-mode (mean * hard) gates."""
+_EVAL_BATCH = 64
+
+
+def evaluate(model, tokens: np.ndarray, labels: np.ndarray, tau: float = 0.0) -> float:
+    """Classification accuracy under eval-mode (mean * hard) gates at `tau`;
+    a binarized or ungated model ignores `tau`."""
     hits = 0
-    for i in range(0, len(labels), batch_size):
-        tb = tokens[i:i + batch_size].astype(np.int64)
+    for i in range(0, len(labels), _EVAL_BATCH):
+        tb = tokens[i:i + _EVAL_BATCH].astype(np.int64)
         if isinstance(model, GatedTransformer):
             with no_grad():
-                logits = forward(model, tb, "eval").logits
+                logits = forward(model, tb, "eval", tau=tau).logits
         else:
             logits = model.forward(tb)
-        hits += int((logits.argmax(axis=-1) == labels[i:i + batch_size]).sum())
+        hits += int((logits.argmax(axis=-1) == labels[i:i + _EVAL_BATCH]).sum())
     return hits / len(labels)
+
+
+def _record(step, phase, loss_total, loss_task=0.0, loss_vib=0.0, loss_pred=0.0,
+            loss_layer=0.0, loss_sparsity=0.0, s_e=0.0, t_cur=0.0, lambda1=0.0,
+            lambda2=0.0):
+    return {
+        "step": int(step), "phase": phase,
+        "loss_total": float(loss_total), "loss_task": float(loss_task),
+        "loss_vib": float(loss_vib), "loss_pred": float(loss_pred),
+        "loss_layer": float(loss_layer), "loss_sparsity": float(loss_sparsity),
+        "s_e": float(s_e), "t_cur": float(t_cur),
+        "lambda1": float(lambda1), "lambda2": float(lambda2),
+    }
+
+
+def _run_phase(label: str, model: GatedTransformer, opt: AdamW, epochs, step_fn,
+               val: tuple, metrics_cb, tau: float) -> list:
+    """The step loop of every phase; returns the step records.
+
+    `epochs` yields each epoch's batches. `step_fn(step, bi, idx)` builds the
+    loss of batch `bi` and returns `(loss, finish, live)`: `finish(value)`
+    runs after the optimizer step, takes the loss as a float and returns the
+    step's record, and `live` holds the step's forward tensors until the
+    next step has built its own. Freed at once, their pages go back to the
+    system and fault in again on the next step: about twice the minor page
+    faults per prune step.
+    With `metrics_cb`, each epoch ends with its last step record plus the
+    validation accuracy at `tau`."""
+    metrics, step = [], 0
+    for batches in epochs:
+        for bi, idx in enumerate(batches):
+            try:
+                loss, finish, live = step_fn(step, bi, idx)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise NumericError("loss is not finite")
+                backward(loss)
+            except NumericError as e:
+                raise DivergenceError(f"{label} diverged at step {step}: {e.detail}")
+            opt.step()
+            opt.zero_grad()
+            rec = finish(value)
+            metrics.append(rec)
+            if metrics_cb:
+                metrics_cb(rec)
+            step += 1
+        if metrics_cb:
+            metrics_cb({**rec, "val_accuracy": evaluate(model, *val, tau=tau)})
+    return metrics
 
 
 # ---------------------------------------------------------------------------
@@ -239,50 +304,22 @@ def train_teacher(config: ModelConfig, dataset: Dataset, cfg: RunConfig,
     opt = AdamW(list(teacher.named_params()), cfg.lr_weights, cfg.lr_gates)
     rng_data = np.random.default_rng(cfg.seed + 11)
     tok, lab = dataset.split("train")
-    vt, vl = dataset.split("val")
-    step = 0
-    for epoch in range(cfg.epochs_teacher):
-        for idx in _batches(len(lab), cfg.batch_size, rng_data):
-            try:
-                trace = forward(teacher, tok[idx].astype(np.int64), "train")
-                loss = cross_entropy(trace.logits_t, lab[idx])
-                val = loss.item()
-                if not np.isfinite(val):
-                    raise NumericError("loss is not finite")
-                backward(loss)
-            except NumericError as e:
-                raise DivergenceError(
-                    f"teacher training diverged at step {step}: {e.detail}")
-            opt.step()
-            opt.zero_grad()
-            if metrics_cb:
-                metrics_cb(_record(step, "teacher", val, loss_task=val))
-            step += 1
-        if metrics_cb:
-            acc = evaluate(teacher, vt, vl)
-            metrics_cb(_record(step - 1, "teacher", val, loss_task=val,
-                               val_accuracy=acc))
+
+    def step_fn(step, bi, idx):
+        trace = forward(teacher, tok[idx].astype(np.int64), "train")
+        loss = cross_entropy(trace.logits_t, lab[idx])
+        return loss, lambda v: _record(step, "teacher", v, loss_task=v), trace
+
+    # a fresh shuffle at the start of each epoch
+    epochs = (_batches(len(lab), cfg.batch_size, rng_data)
+              for _ in range(cfg.epochs_teacher))
+    _run_phase("teacher training", teacher, opt, epochs, step_fn,
+               dataset.split("val"), metrics_cb, 0.0)
     return teacher
 
 
-def _record(step, phase, loss_total, loss_task=0.0, loss_vib=0.0, loss_pred=0.0,
-            loss_layer=0.0, loss_sparsity=0.0, s_e=0.0, t_cur=0.0, lambda1=0.0,
-            lambda2=0.0, val_accuracy=None):
-    rec = {
-        "step": int(step), "phase": phase,
-        "loss_total": float(loss_total), "loss_task": float(loss_task),
-        "loss_vib": float(loss_vib), "loss_pred": float(loss_pred),
-        "loss_layer": float(loss_layer), "loss_sparsity": float(loss_sparsity),
-        "s_e": float(s_e), "t_cur": float(t_cur),
-        "lambda1": float(lambda1), "lambda2": float(lambda2),
-    }
-    if val_accuracy is not None:
-        rec["val_accuracy"] = float(val_accuracy)
-    return rec
-
-
 # ---------------------------------------------------------------------------
-# pruning phase
+# student phases: pruning, binarize, finetuning
 
 
 class _TeacherCache:
@@ -301,6 +338,22 @@ class _TeacherCache:
         return self._store[key]
 
 
+def _student_data(dataset: Dataset, cfg: RunConfig, batch_seed: int):
+    """(tokens, labels, batches) of the variant's training data, in one fixed
+    partition from `batch_seed`; the teacher cache keys on the batch index."""
+    tok, lab = dataset.split("train")
+    tok, lab = subset(tok, lab, cfg.subset_fraction, cfg.seed + 21)
+    rng = np.random.default_rng(batch_seed)
+    return tok, lab, _batches(len(lab), cfg.batch_size, rng)
+
+
+def _distill_losses(trace, t_logits, t_hiddens, w_layer, alive):
+    """(prediction distillation, layer mapping, layer distillation)."""
+    mapping = layer_map(trace.hidden_states, t_hiddens, w_layer, alive)
+    return (pred_distill(trace.logits_t, t_logits), mapping,
+            layer_distill(trace.hidden_states, t_hiddens, w_layer, mapping))
+
+
 def prune_phase(student: GatedTransformer, teacher: GatedTransformer,
                 dataset: Dataset, cfg: RunConfig, distill: DistillConfig = None,
                 metrics_cb=None):
@@ -308,82 +361,53 @@ def prune_phase(student: GatedTransformer, teacher: GatedTransformer,
     if student.gates is None:
         raise ContractError("prune_phase: student has no gates")
     c = student.config
-    if distill is None:
-        distill = DistillConfig(eta=cfg.eta, width=c.width)
+    distill = distill or DistillConfig(width=c.width)
     counts = CountModel.build(c, cfg.metric, cfg.seq_ref)
-
-    tok, lab = dataset.split("train")
-    tok, lab = subset(tok, lab, cfg.subset_fraction, cfg.seed + 21)
-    vt, vl = dataset.split("val")
-    rng_batches = np.random.default_rng(cfg.seed + 22)
-    batches = _batches(len(lab), cfg.batch_size, rng_batches)  # fixed partition
+    tok, lab, batches = _student_data(dataset, cfg, cfg.seed + 22)
     total_steps = cfg.epochs_prune * len(batches)
     if total_steps == 0:
         raise ContractError("prune_phase: epochs_prune is 0 or the training "
                             "split is empty, so no step would run")
     controller = SparsityController(
-        metric=cfg.metric, target=cfg.target, lambda_lr=cfg.lambda_lr,
+        target=cfg.target, lambda_lr=cfg.lambda_lr,
         warmup_steps=max(1, int(cfg.warmup_frac * total_steps)))
-
-    named = _trainable(student, distill, cfg.variant, "prune")
-    opt = AdamW(named, cfg.lr_weights, cfg.lr_gates)
-
+    opt = AdamW(_trainable(student, distill, cfg.variant, "prune"),
+                cfg.lr_weights, cfg.lr_gates)
     cache = _TeacherCache(teacher)
     rng_noise = np.random.default_rng(cfg.seed + 23)
-    metrics = []
-    step = 0
-    for epoch in range(cfg.epochs_prune):
-        for bi, idx in enumerate(batches):
-            controller.advance(step)
-            tb = tok[idx].astype(np.int64)
-            t_logits, t_hiddens = cache.get(bi, tb)
-            try:
-                trace = forward(student, tb, "train", rng_noise)
-                task = cross_entropy(trace.logits_t, lab[idx])
-                vib = vib_loss(student)
-                pred = pred_distill(trace.logits_t, t_logits)
-                sums = soft_keep_sums(student, cfg.tau, cfg.temperature)
-                keeps = sums[1].ffn.data.tolist()
-                alive = [k > 0.5 for k in keeps]
-                if not any(alive):
-                    # distillation must map somewhere while gates are in flux;
-                    # use the least-dead layer until the controller recovers
-                    alive[int(np.argmax(keeps))] = True
-                mapping = layer_map(trace.hidden_states, t_hiddens,
-                                    distill.w_layer, alive)
-                layer_d = layer_distill(trace.hidden_states, t_hiddens,
-                                        distill.w_layer, mapping)
-                s_e = expected_sparsity(student, counts, cfg.tau, cfg.temperature,
-                                        sums)
-                sp = sparsity_loss(controller, s_e)
-                loss = total_loss(task, vib, pred, layer_d, sp, cfg.eta)
-                loss_val = loss.item()
-                if not np.isfinite(loss_val):
-                    raise NumericError("loss is not finite")
-                backward(loss)
-            except NumericError as e:
-                raise DivergenceError(f"pruning diverged at step {step}: {e.detail}")
-            opt.step()
-            opt.zero_grad()
+
+    def step_fn(step, bi, idx):
+        controller.advance(step)
+        tb = tok[idx].astype(np.int64)
+        t_logits, t_hiddens = cache.get(bi, tb)
+        trace = forward(student, tb, "train", rng_noise)
+        task = cross_entropy(trace.logits_t, lab[idx])
+        vib = vib_loss(student)
+        sums = soft_keep_sums(student, cfg.tau, cfg.temperature)
+        keeps = sums[1].ffn.data.tolist()
+        alive = [k > 0.5 for k in keeps]
+        if not any(alive):
+            # distillation must map somewhere while gates are in flux;
+            # use the least-dead layer until the controller recovers
+            alive[int(np.argmax(keeps))] = True
+        pred, mapping, layer_d = _distill_losses(trace, t_logits, t_hiddens,
+                                                 distill.w_layer, alive)
+        s_e = expected_sparsity(student, counts, cfg.tau, cfg.temperature, sums)
+        sp = sparsity_loss(controller, s_e)
+
+        def finish(loss_val):
             s_e_val = s_e.item()
             update_lagrangian(controller, s_e_val)
-            rec = _record(step, "prune", loss_val, task.item(), vib.item(),
-                          pred.item(), layer_d.item(), sp.item(), s_e_val,
-                          controller.t_cur, controller.lambda1, controller.lambda2)
-            metrics.append(rec)
-            if metrics_cb:
-                metrics_cb(rec)
-            step += 1
-        if metrics_cb:
-            acc = evaluate(student, vt, vl)
-            metrics_cb(_record(step - 1, "prune", loss_val, s_e=s_e_val,
-                               t_cur=controller.t_cur, lambda1=controller.lambda1,
-                               lambda2=controller.lambda2, val_accuracy=acc))
+            return _record(step, "prune", loss_val, task.item(), vib.item(),
+                           pred.item(), layer_d.item(), sp.item(), s_e_val,
+                           controller.t_cur, controller.lambda1, controller.lambda2)
+
+        loss = total_loss(task, vib, pred, layer_d, sp, cfg.eta)
+        return loss, finish, (trace, sums, mapping)
+
+    metrics = _run_phase("pruning", student, opt, [batches] * cfg.epochs_prune,
+                         step_fn, dataset.split("val"), metrics_cb, cfg.tau)
     return controller, metrics
-
-
-# ---------------------------------------------------------------------------
-# binarize + finetune
 
 
 def binarize(student: GatedTransformer, tau: float) -> GatedTransformer:
@@ -407,74 +431,34 @@ def binarize(student: GatedTransformer, tau: float) -> GatedTransformer:
 def finetune_phase(student: GatedTransformer, teacher: GatedTransformer,
                    dataset: Dataset, cfg: RunConfig, distill: DistillConfig = None,
                    metrics_cb=None):
-    """Train surviving weights under task + distillation + (constant) gate cost."""
+    """Train surviving weights under task + distillation + (constant) gate
+    cost; the optimizer never writes a pruned entry, so each keeps its bits."""
     if not student.binarized:
         raise ContractError("finetune_phase: student must be binarized")
     c = student.config
-    if distill is None:
-        distill = DistillConfig(eta=cfg.eta, width=c.width)
-
-    tok, lab = dataset.split("train")
-    tok, lab = subset(tok, lab, cfg.subset_fraction, cfg.seed + 21)
-    vt, vl = dataset.split("val")
-    rng_batches = np.random.default_rng(cfg.seed + 31)
-    batches = _batches(len(lab), cfg.batch_size, rng_batches)
-
-    surv = survival_masks(student, cfg.tau)
-    named = _trainable(student, distill, cfg.variant, "finetune")
-    opt = AdamW(named, cfg.lr_weights, cfg.lr_gates)
-
+    distill = distill or DistillConfig(width=c.width)
+    tok, lab, batches = _student_data(dataset, cfg, cfg.seed + 31)
+    opt = AdamW(_trainable(student, distill, cfg.variant, "finetune"),
+                cfg.lr_weights, cfg.lr_gates, keep=survival_masks(student, cfg.tau))
+    # all FFN sub-layers gone: hidden states are still defined, map to any
     alive = list(structure(student, cfg.tau).ffn)
-    if not any(alive):
-        # all FFN sub-layers gone: hidden states are still defined, map to any
-        alive = [True] * c.layers
-
+    alive = alive if any(alive) else [True] * c.layers
     cache = _TeacherCache(teacher)
     vib = vib_loss(student)  # binarized gates never train: a constant; reported
-    metrics = []
-    step = 0
-    for epoch in range(cfg.epochs_finetune):
-        for bi, idx in enumerate(batches):
-            tb = tok[idx].astype(np.int64)
-            t_logits, t_hiddens = cache.get(bi, tb)
-            try:
-                trace = forward(student, tb, "train")
-                task = cross_entropy(trace.logits_t, lab[idx])
-                pred = pred_distill(trace.logits_t, t_logits)
-                mapping = layer_map(trace.hidden_states, t_hiddens,
-                                    distill.w_layer, alive)
-                layer_d = layer_distill(trace.hidden_states, t_hiddens,
-                                        distill.w_layer, mapping)
-                loss = total_loss(task, vib, pred, layer_d, None, cfg.eta)
-                loss_val = loss.item()
-                if not np.isfinite(loss_val):
-                    raise NumericError("loss is not finite")
-                backward(loss)
-            except NumericError as e:
-                raise DivergenceError(f"finetune diverged at step {step}: {e.detail}")
-            # pruned entries must stay bit-identical: mask grads, then restore
-            saved = {}
-            for name, p in named:
-                mask = surv.get(name)
-                if mask is not None and not mask.all():
-                    if p.grad is not None:
-                        p.grad = np.where(mask, p.grad, 0.0)
-                    saved[name] = (p, np.where(mask, 0.0, p.data.copy()))
-            opt.step()
-            for name, (p, frozen_vals) in saved.items():
-                mask = surv[name]
-                p.data = np.where(mask, p.data, frozen_vals).astype(np.float32)
-            opt.zero_grad()
-            rec = _record(step, "finetune", loss_val, task.item(), vib.item(),
-                          pred.item(), layer_d.item())
-            metrics.append(rec)
-            if metrics_cb:
-                metrics_cb(rec)
-            step += 1
-        if metrics_cb:
-            acc = evaluate(student, vt, vl)
-            metrics_cb(_record(step - 1, "finetune", loss_val, val_accuracy=acc))
-    return metrics
+
+    def step_fn(step, bi, idx):
+        tb = tok[idx].astype(np.int64)
+        t_logits, t_hiddens = cache.get(bi, tb)
+        trace = forward(student, tb, "train")
+        task = cross_entropy(trace.logits_t, lab[idx])
+        pred, mapping, layer_d = _distill_losses(trace, t_logits, t_hiddens,
+                                                 distill.w_layer, alive)
+        loss = total_loss(task, vib, pred, layer_d, None, cfg.eta)
+        return loss, lambda v: _record(step, "finetune", v, task.item(), vib.item(),
+                                       pred.item(), layer_d.item()), (trace, mapping)
+
+    return _run_phase("finetune", student, opt, [batches] * cfg.epochs_finetune,
+                      step_fn, dataset.split("val"), metrics_cb, cfg.tau)
 
 
 def make_student(teacher: GatedTransformer, cfg: RunConfig) -> GatedTransformer:

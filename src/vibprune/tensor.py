@@ -154,11 +154,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         return grad.sum().reshape(shape)
     # 1-D vector broadcast over leading axes
     axes = tuple(range(grad.ndim - len(shape)))
-    out = grad.sum(axis=axes) if axes else grad
-    # defensive: collapse any residual mismatched leading dims
-    while out.ndim > len(shape):
-        out = out.sum(axis=0)
-    return out
+    return grad.sum(axis=axes) if axes else grad
 
 
 # ---------------------------------------------------------------------------
@@ -249,48 +245,19 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """`a @ b` for (..., m, k) @ (..., k, n) with equal leading dims: the
+    attention products. A product with a weight matrix is `linear`."""
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0:
-        raise ShapeError("matmul: operands must have ndim >= 1")
-    if ad.shape[-1] != (bd.shape[-2] if bd.ndim >= 2 else bd.shape[0]):
-        raise ShapeError(f"matmul: inner dims differ {ad.shape} @ {bd.shape}")
+    if (ad.ndim < 2 or ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2]
+            or ad.shape[-1] != bd.shape[-2]):
+        raise ShapeError(f"matmul: cannot multiply {ad.shape} @ {bd.shape}")
     out = np.matmul(ad, bd)
 
     def bw(g):
-        # promote 1-D operands to matrices, fix g up to match, then use the
-        # standard dC rules and reduce back
-        A = ad[None, :] if ad.ndim == 1 else ad
-        B = bd[:, None] if bd.ndim == 1 else bd
-        if ad.ndim == 1 and bd.ndim == 1:
-            G = g.reshape(1, 1)
-        elif ad.ndim == 1:
-            G = g[..., None, :]
-        elif bd.ndim == 1:
-            G = g[..., :, None]
-        else:
-            G = g
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast_matmul(np.matmul(G, np.swapaxes(B, -1, -2)),
-                                     A.shape).reshape(ad.shape)
-        if b.requires_grad:
-            gb = _unbroadcast_matmul(np.matmul(np.swapaxes(A, -1, -2), G),
-                                     B.shape).reshape(bd.shape)
-        return [ga, gb]
+        return [np.matmul(g, np.swapaxes(bd, -1, -2)) if a.requires_grad else None,
+                np.matmul(np.swapaxes(ad, -1, -2), g) if b.requires_grad else None]
 
     return _make("matmul", out, [a, b], bw)
-
-
-def _unbroadcast_matmul(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    for i, (gd, sd) in enumerate(zip(grad.shape, shape)):
-        if sd == 1 and gd != 1:
-            grad = grad.sum(axis=i, keepdims=True)
-    return grad.reshape(shape)
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:

@@ -381,6 +381,8 @@ class TestMalformedSettings:
         ("prune.seq_ref", "-3", "eval", "config error"),
         ("prune.seq_ref", "0", "eval", "contract error"),
         ("train.warmup_frac", "nan", "prune", "contract error"),
+        ("prune.eta", "2", "train-teacher", "contract error"),
+        ("prune.metric", "foo", "train-teacher", "contract error"),
     ])
     def test_one_categorized_line(self, teacher_ckpt, tmp_path, capsys, key, value,
                                   command, category):
@@ -424,6 +426,25 @@ def test_teacher_divergence_names_the_step(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1 and err.count("\n") == 1, err
     assert err.startswith("numeric divergence: teacher training diverged at step 1: "), err
+
+
+@pytest.mark.parametrize("command, label", [("prune", "pruning"),
+                                            ("finetune", "finetune")])
+def test_student_divergence_names_the_step(tmp_path, capsys, command, label):
+    (tmp_path / "run.cfg").write_text(TINY_CONFIG)
+    settings = Settings(parse_config_file(str(tmp_path / "run.cfg")), None)
+    teacher = build_teacher(settings.model_config(), 0)
+    student = make_student(teacher, settings.run_config())
+    save_tensors(model_tensors(teacher), str(tmp_path / "teacher.ckpt"))
+    save_tensors(model_tensors(student), str(tmp_path / "student.ckpt"))
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(TINY_CONFIG + "train.lr_weights = nan\n")
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+               "--teacher", str(tmp_path / "teacher.ckpt"),
+               "--student", str(tmp_path / "student.ckpt")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1, err
+    assert err.startswith(f"numeric divergence: {label} diverged at step 1: "), err
 
 
 def test_readme_config_table_lists_every_key():

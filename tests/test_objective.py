@@ -220,6 +220,15 @@ class TestCounting:
         g.mu.data[3] = 10.0 * (1 if g.mu.data[3] >= 0 else -1)
         assert expected_sparsity(s, counts, 0.0, 1.0).item() <= base + 1e-9
 
+    @pytest.mark.parametrize("field, value", [("heads", 4), ("ffn_dim", 16),
+                                              ("vocab_size", 20), ("max_seq", 12)])
+    def test_counts_for_another_config_rejected(self, field, value):
+        from dataclasses import replace
+
+        counts = CountModel.build(replace(CFG, **{field: value}), "parameters")
+        with pytest.raises(ContractError, match="another config"):
+            expected_sparsity(student_with_gates(), counts, 0.0, 1.0)
+
     def test_gradients_flow_to_all_gates(self):
         from vibprune.tensor import backward
 

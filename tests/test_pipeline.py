@@ -4,6 +4,7 @@ finetune weight masking, and short-run determinism."""
 import numpy as np
 import pytest
 
+from vibprune import pipeline
 from vibprune.data import TaskSpec, generate
 from vibprune.errors import ContractError
 from vibprune.gates import GateInit, hard_mask
@@ -192,6 +193,28 @@ class TestPruneLoop:
         for a, b in zip(g1, g2):
             np.testing.assert_array_equal(a, b)
 
+    def test_epoch_record_is_last_step_plus_accuracy_at_tau(self, teacher, dataset,
+                                                             monkeypatch):
+        taus = []
+        real = pipeline.evaluate
+
+        def spy(model, tokens, labels, **kw):
+            taus.append(kw.get("tau"))
+            return real(model, tokens, labels, **kw)
+
+        monkeypatch.setattr(pipeline, "evaluate", spy)
+        s = make_student(teacher, quick_run_cfg(seed=4))
+        cfg = quick_run_cfg(epochs_prune=2, tau=0.7)
+        records = []
+        _, metrics = prune_phase(s, teacher, dataset, cfg, metrics_cb=records.append)
+        assert taus == [0.7, 0.7]
+        ends = [i for i, r in enumerate(records) if "val_accuracy" in r]
+        assert len(ends) == 2 and len(records) == len(metrics) + 2
+        for i in ends:
+            rec = dict(records[i])
+            del rec["val_accuracy"]
+            assert rec == records[i - 1]
+
     def test_low_pressure_run_keeps_gates(self, teacher, dataset):
         # tiny target, zero beta: hard masks should barely move
         s = make_student(teacher, quick_run_cfg(seed=7, beta_global=0.0))
@@ -305,6 +328,33 @@ class TestOptimizer:
                 assert p.data.dtype == np.float32
                 np.testing.assert_array_equal(p.data, want)
             opt.zero_grad()
+
+    def test_keep_mask_leaves_frozen_bits(self):
+        from vibprune.tensor import parameter
+
+        rng = np.random.default_rng(4)
+        w0 = rng.normal(size=(3, 4)).astype(np.float32)
+        w0[0, 0] = -0.0
+        b0 = rng.normal(size=4).astype(np.float32)
+        keep = rng.random((3, 4)) < 0.5
+        keep[0, 0] = False
+        ref = [parameter(w0), parameter(b0)]
+        got = [parameter(w0), parameter(b0)]
+        names = ["layer.0.wq.weight", "layer.0.wq.bias"]    # the weight decays
+        plain = AdamW(list(zip(names, ref)), 0.01, 0.1)
+        masked = AdamW(list(zip(names, got)), 0.01, 0.1, keep={names[0]: keep})
+        for _ in range(3):
+            grads = [rng.normal(size=p.shape).astype(np.float32) for p in ref]
+            grads[0][0, 0] = -1.0       # a negative update at the -0.0 entry
+            for p, q, g in zip(ref, got, grads):
+                p.grad, q.grad = g, g.copy()
+            plain.step()
+            masked.step()
+        bits = lambda a: a.view(np.uint32)  # noqa: E731
+        np.testing.assert_array_equal(bits(got[0].data[~keep]), bits(w0[~keep]))
+        np.testing.assert_array_equal(bits(got[0].data[keep]), bits(ref[0].data[keep]))
+        np.testing.assert_array_equal(bits(got[1].data), bits(ref[1].data))
+        assert not np.array_equal(ref[0].data[~keep], w0[~keep])
 
     def test_step_moves_param_against_gradient(self):
         from vibprune.tensor import parameter
