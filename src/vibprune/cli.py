@@ -215,10 +215,10 @@ def load_model(config: ModelConfig, run: RunConfig, tensors: dict,
         if arr.shape != p.data.shape:
             raise ConfigError(
                 f"tensor '{name}' has shape {arr.shape}, expected {p.data.shape}")
-        p.data = arr.astype(np.float32).copy()
+        p.data = arr.astype(np.float32)     # a copy, also of float32 data
         seen.add(name)
     if "distill.w_layer" in tensors:
-        distill.w_layer.data = tensors["distill.w_layer"].astype(np.float32).copy()
+        distill.w_layer.data = tensors["distill.w_layer"].astype(np.float32)
         seen.add("distill.w_layer")
     extra = set(tensors) - seen
     if extra:

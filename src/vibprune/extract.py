@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ContractError, DegenerateModelError
 from .model import GatedTransformer, ModelConfig, Structure, structure
 from .objective import flops_from_sums
-from .tensor import _gelu, _normalize, _softmax
+from .tensor import _gelu, _normalize, _softmax, _widen
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -34,14 +34,6 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     y = x @ w
     y += b
     return y
-
-
-def _widen(a: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """`a` with its last-axis entries at positions `idx` of a zero last axis
-    of length n."""
-    out = np.zeros(a.shape[:-1] + (n,), dtype=a.dtype)
-    out[..., idx] = a
-    return out
 
 
 @dataclass
@@ -58,10 +50,11 @@ class DenseModel:
     # per alive attention layer: wq|wk|wv and their biases side by side, the
     # query columns scaled by 1/sqrt(head_dim): one GEMM, no score scaling
     _qkv: dict = field(init=False, repr=False, compare=False)
+    _ones: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         st, a, n = self.structure, self.arrays, self.d_kept
-        self._wd, self._qkv = {}, {}
+        self._wd, self._qkv, self._ones = {}, {}, np.ones((n, 1))
         qscale = np.float32(1.0 / math.sqrt(self.orig.head_dim))
         for i in range(self.orig.layers):
             if st.mha[i]:
@@ -81,8 +74,9 @@ class DenseModel:
         return int(self.structure.width.size)
 
     def _norm(self, x, gamma=None, beta=None):
-        """Layer norm over kept dims with the original width as divisor."""
-        y, _ = _normalize(x, width=self.orig.width)
+        """Layer norm over kept dims with the original width as divisor; its
+        row sums are products with a ones column (see `_row_sum`)."""
+        y, _ = _normalize(x, self.orig.width, self._ones)
         if gamma is not None:
             y *= gamma
             y += beta
@@ -147,14 +141,16 @@ def extract_dense(student: GatedTransformer) -> DenseModel:
         folds[p + "wd.weight"] = [(0, g.inter[i].frozen), (1, out)]
         folds[p + "wd.bias"] = [(0, out)]
 
-    arrays = {}
-    for name, axes in st.layout(c).items():
-        a = student.params[name].data[np.ix_(*axes)]
+    # folded at full size, then cut to the kept sub-grid: the same products
+    folded = {}
+    for name, p in student.params.items():
+        a = p.data
         for axis, scale in folds.get(name, ()):
             shape = [1] * a.ndim
             shape[axis] = -1
-            a = a * scale[axes[axis]].reshape(shape)
-        arrays[name] = a.astype(np.float32)
+            a = a * scale.reshape(shape)
+        folded[name] = a
+    arrays = {name: a.astype(np.float32) for name, a in st.gather(c, folded).items()}
     return DenseModel(c, st, arrays)
 
 
@@ -212,13 +208,11 @@ def sparsity_report(dense: DenseModel, teacher_params: int, teacher_flops: int,
 
 def survival_masks(student: GatedTransformer, tau: float = 0.0) -> dict:
     """Boolean mask per parameter tensor: True where the entry survives the
-    current hard masks (used to freeze pruned entries during finetuning)."""
+    current hard masks, the only entries finetuning may change."""
     if student.gates is None:
         raise ContractError("survival_masks: model has no gates")
-    layout = structure(student, tau).layout(student.config)
-    masks = {}
-    for name, p in student.params.items():
-        masks[name] = np.zeros(p.data.shape, dtype=bool)
-        if name in layout:
-            masks[name][np.ix_(*layout[name])] = True
+    st = structure(student, tau)
+    masks = {name: np.zeros(p.data.shape, dtype=bool)
+             for name, p in student.params.items()}
+    st.scatter(student.config, masks, dict.fromkeys(st.layout(student.config), True))
     return masks

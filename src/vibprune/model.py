@@ -48,6 +48,7 @@ from .tensor import (
     softmax_lastdim,
     split_heads,
     tsum,
+    widen_lastdim,
 )
 
 WEIGHT_INIT_STD = 0.02
@@ -82,8 +83,10 @@ class ModelConfig:
 @dataclass
 class ForwardTrace:
     logits_t: Tensor                    # (batch, 1, classes), in the graph
-    hidden_states: list                 # per layer, (batch, seq, width) tensors
-    attention_probs: list               # per layer, (batch, heads, seq, seq) arrays
+    hidden_states: list                 # per layer, (batch, seq, kept width) tensors
+    # per layer that computes attention, (batch, heads, seq, seq) arrays: every
+    # layer of a full-size model
+    attention_probs: list
 
     @property
     def logits(self) -> np.ndarray:
@@ -264,6 +267,18 @@ class Structure:
                 lay[p + "wd.bias"] = (o,)
         return lay
 
+    def gather(self, config: ModelConfig, arrays: dict) -> dict:
+        """The kept sub-grid of every array the structure keeps, from full
+        arrays by name: a new array each."""
+        return {name: arrays[name][np.ix_(*axes)]
+                for name, axes in self.layout(config).items()}
+
+    def scatter(self, config: ModelConfig, arrays: dict, sub: dict) -> None:
+        """Write `sub`, kept sub-grids by name as `gather` returns them, into
+        the full `arrays` in place; entries outside the sub-grids keep their bits."""
+        for name, axes in self.layout(config).items():
+            arrays[name][np.ix_(*axes)] = sub[name]
+
     def array_shapes(self, config: ModelConfig) -> dict:
         """Shape of every parameter array the structure keeps, by name."""
         return {name: tuple(ix.size for ix in axes)
@@ -354,6 +369,8 @@ class GatedTransformer:
         self.params: dict[str, Tensor] = {}
         self.gates: Optional[GateSet] = None
         self.binarized = False
+        # a compact model's arrays are this structure's kept sub-grids
+        self.kept: Optional[Structure] = None
 
     def named_params(self):
         for name in sorted(self.params):
@@ -386,6 +403,23 @@ def build_student(teacher: GatedTransformer, gate_init: GateInit,
     for name, p in teacher.params.items():
         m.params[name] = parameter(p.data.copy())
     m.gates = GateSet(teacher.config, gate_init, betas)
+    return m
+
+
+def compact(student: GatedTransformer, tau: float) -> GatedTransformer:
+    """The binarized student cut down to its kept units: a new parameter for
+    the kept sub-grid of every array it keeps, and the student's gates, whose
+    frozen masks the forward reads at the kept units only. It computes what
+    the student computes, at the kept width dims; `Structure.scatter` of its
+    arrays writes them back."""
+    if not student.binarized:
+        raise ContractError("compact: student must be binarized")
+    st = structure(student, tau)
+    m = GatedTransformer(student.config)
+    full = {name: p.data for name, p in student.params.items()}
+    m.params = {name: parameter(a, a.dtype)
+                for name, a in st.gather(m.config, full).items()}
+    m.gates, m.binarized, m.kept = student.gates, True, st
     return m
 
 
@@ -430,13 +464,17 @@ class _MaskPack:
             self.lmha = [repeat_lastdim(draw(gl), c.width) for gl in g.layer_mha]
             self.lffn = [repeat_lastdim(draw(gl), c.width) for gl in g.layer_ffn]
         else:
-            def vec(gate):
-                return constant(eval_mask(gate, tau))
+            # a compact model reads each mask at its kept units
+            st = model.kept or Structure.full(c)
 
-            self.width = vec(g.width)
-            self.heads = [constant(np.repeat(eval_mask(gh, tau), dh)) for gh in g.heads]
-            self.inter = [vec(gi) for gi in g.inter]
-            self.out = [vec(go) for go in g.out]
+            def vec(gate, kept=slice(None)):
+                return constant(eval_mask(gate, tau)[kept])
+
+            self.width = vec(g.width, st.width)
+            self.heads = [constant(np.repeat(eval_mask(gh, tau)[h], dh))
+                          for gh, h in zip(g.heads, st.heads)]
+            self.inter = [vec(gi, n) for gi, n in zip(g.inter, st.inter)]
+            self.out = [vec(go, o) for go, o in zip(g.out, st.out)]
             self.lmha = [vec(gl) for gl in g.layer_mha]
             self.lffn = [vec(gl) for gl in g.layer_ffn]
 
@@ -448,7 +486,10 @@ def _gate(x: Tensor, mask: Optional[Tensor]) -> Tensor:
 
 def forward(model: GatedTransformer, tokens: np.ndarray, mode: str = "eval",
             rng=None, tau: float = 0.0) -> ForwardTrace:
-    """Run the model; gates are stochastic in train mode, mean*hard in eval."""
+    """Run the model; gates are stochastic in train mode, mean*hard in eval.
+    A compact model (`compact`) runs the same code at the sizes of its
+    arrays; its layer norms divide by the full width, as the full-size
+    model's do over a stream whose pruned dims are zero."""
     c = model.config
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
@@ -473,33 +514,50 @@ def forward(model: GatedTransformer, tokens: np.ndarray, mode: str = "eval",
     attention_probs = []
     for i in range(c.layers):
         pre = f"layer.{i}."
-        # attention sub-layer, every head at once: (batch, heads, seq, dh)
-        xn = layer_norm_lastdim(x, p[pre + "ln1.weight"], p[pre + "ln1.bias"])
-        xr = _gate(xn, masks.width)
-        q, k, v = (split_heads(linear(xr, p[pre + w + ".weight"], p[pre + w + ".bias"]),
-                               c.heads, keys=(w == "wk")) for w in ("wq", "wk", "wv"))
-        scores = scale(matmul(q, k), 1.0 / np.sqrt(dh))
-        if c.causal:
-            scores = causal_mask_fill(scores)
-        probs = softmax_lastdim(scores)
-        attention_probs.append(probs.data)
-        a = _gate(merge_heads(matmul(probs, v)), masks.heads[i])
-        mha = linear(a, p[pre + "wo.weight"], p[pre + "wo.bias"])
-        mha = _gate(_gate(mha, masks.lmha[i]), masks.width)
-        x = add(x, mha)
+        # a sub-layer runs if its arrays exist, at the sizes they have
+        if pre + "wq.weight" in p:
+            # attention sub-layer, every head at once: (batch, heads, seq, dh)
+            heads = p[pre + "wq.weight"].shape[1] // dh
+            if not heads:
+                # no head kept: the sub-layer writes its output bias alone
+                a = constant(np.zeros(x.shape[:-1] + (0,)))
+            else:
+                xn = layer_norm_lastdim(x, p[pre + "ln1.weight"], p[pre + "ln1.bias"],
+                                        c.width)
+                xr = _gate(xn, masks.width)
+                q, k, v = (split_heads(linear(xr, p[pre + w + ".weight"],
+                                              p[pre + w + ".bias"]),
+                                       heads, keys=(w == "wk"))
+                           for w in ("wq", "wk", "wv"))
+                scores = scale(matmul(q, k), 1.0 / np.sqrt(dh))
+                if c.causal:
+                    scores = causal_mask_fill(scores)
+                probs = softmax_lastdim(scores)
+                attention_probs.append(probs.data)
+                a = _gate(merge_heads(matmul(probs, v)), masks.heads[i])
+            mha = linear(a, p[pre + "wo.weight"], p[pre + "wo.bias"])
+            mha = _gate(_gate(mha, masks.lmha[i]), masks.width)
+            x = add(x, mha)
 
-        # feed-forward sub-layer
-        xn2 = layer_norm_lastdim(x, p[pre + "ln2.weight"], p[pre + "ln2.bias"])
-        xr2 = _gate(xn2, masks.width)
-        mid = gelu(linear(xr2, p[pre + "wu.weight"], p[pre + "wu.bias"]))
-        mid = _gate(mid, masks.inter[i])
-        ffn = linear(mid, p[pre + "wd.weight"], p[pre + "wd.bias"])
-        ffn = _gate(_gate(_gate(ffn, masks.out[i]), masks.lffn[i]), masks.width)
-        x = add(x, ffn)
+        if pre + "wu.weight" in p:
+            # feed-forward sub-layer
+            xn2 = layer_norm_lastdim(x, p[pre + "ln2.weight"], p[pre + "ln2.bias"],
+                                     c.width)
+            xr2 = _gate(xn2, masks.width)
+            mid = gelu(linear(xr2, p[pre + "wu.weight"], p[pre + "wu.bias"]))
+            mid = _gate(mid, masks.inter[i])
+            ffn = linear(mid, p[pre + "wd.weight"], p[pre + "wd.bias"])
+            ffn = _gate(_gate(ffn, masks.out[i]), masks.lffn[i])
+            if ffn.shape[-1] < x.shape[-1]:
+                # a compact FFN writes only its kept outputs into the stream
+                st = model.kept
+                ffn = widen_lastdim(ffn, np.searchsorted(st.width, st.out[i]),
+                                    x.shape[-1])
+            x = add(x, _gate(ffn, masks.width))
         hidden_states.append(x)
 
     # parameter-free final norm, masked read, single-position pooling
-    xf = _gate(layer_norm_lastdim(x), masks.width)
+    xf = _gate(layer_norm_lastdim(x, width=c.width), masks.width)
     pooled = select_position(xf, seqlen - 1 if c.causal else 0)           # (B,1,d)
     logits = linear(pooled, p["cls.weight"], p["cls.bias"])               # (B,1,C)
 

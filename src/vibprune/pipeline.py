@@ -6,8 +6,9 @@ Variants:
   faster  subset data, but only gates, norm and bias parameters move
 
 After the pruning phase the gates are frozen to mu * hard 0/1 masks
-(binarize); finetuning then updates only entries that survive the masks,
-and extraction turns the result into a physically smaller dense model.
+(binarize); finetuning then trains the compact student, only the entries
+that survive the masks, and extraction turns the result into a physically
+smaller dense model.
 All three training phases run one step loop, `_run_phase`.
 """
 
@@ -24,13 +25,13 @@ from .errors import (
     DivergenceError,
     NumericError,
 )
-from .extract import survival_masks
 from .gates import GateInit, hard_mask
 from .model import (
     GatedTransformer,
     ModelConfig,
     build_student,
     build_teacher,
+    compact,
     default_betas,
     forward,
     structure,
@@ -50,7 +51,7 @@ from .objective import (
     update_lagrangian,
     vib_loss,
 )
-from .tensor import backward, no_grad
+from .tensor import backward, no_grad, parameter
 
 VARIANTS = ("vtrans", "fast", "faster")
 
@@ -138,16 +139,11 @@ def _trainable(student: GatedTransformer, distill: DistillConfig, variant: str,
 
 class AdamW:
     """Decoupled-weight-decay adaptive moments; no decay on gates, norms, biases.
-    A step is a few whole-vector operations, in each entry's operation order.
-
-    `keep` maps a parameter name to a boolean array of its shape: a step
-    never writes an entry that is False there, so the entry keeps its exact
-    bits (a zero learning rate would not: `-0.0 - 0 * upd` is `+0.0`)."""
+    A step is a few whole-vector operations, in each entry's operation order."""
 
     b1, b2, eps, weight_decay = 0.9, 0.999, 1e-8, 0.01
 
-    def __init__(self, named_params: list, lr_weights: float, lr_gates: float,
-                 keep: dict = None):
+    def __init__(self, named_params: list, lr_weights: float, lr_gates: float):
         self.entries = []
         for name, p in named_params:
             is_gate = name.startswith("gate.") or name == "distill.w_layer"
@@ -159,9 +155,6 @@ class AdamW:
         self.lr, self.wd = (np.repeat(np.array([e[k] for e in self.entries],
                                                dtype=np.float32), self._sizes)
                             for k in ("lr", "wd"))
-        self.keep = None if keep is None else np.concatenate(
-            [np.broadcast_to(keep.get(n, True), p.shape).reshape(-1)
-             for n, p in named_params])
         self.m = np.zeros(self._sizes.sum(), dtype=np.float32)
         self.v = np.zeros_like(self.m)
         self.t = 0
@@ -184,8 +177,7 @@ class AdamW:
         self.m[at], self.v[at] = m, v
         upd = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
         upd += self.wd[at] * x      # adds +0.0 where an entry has no decay
-        np.subtract(x, self.lr[at] * upd, out=x,
-                    where=True if self.keep is None else self.keep[at])
+        x -= self.lr[at] * upd
         for p, part in zip(live, np.split(x, np.cumsum([p.size for p in live])[:-1])):
             p.data = part.reshape(p.shape)
 
@@ -432,33 +424,42 @@ def finetune_phase(student: GatedTransformer, teacher: GatedTransformer,
                    dataset: Dataset, cfg: RunConfig, distill: DistillConfig = None,
                    metrics_cb=None):
     """Train surviving weights under task + distillation + (constant) gate
-    cost; the optimizer never writes a pruned entry, so each keeps its bits."""
+    cost. The steps train the compact student, the kept sub-grid of every
+    array and the kept width rows of the layer-distillation weights, which
+    the end writes back: no pruned entry reaches the optimizer, so each
+    keeps its bits."""
     if not student.binarized:
         raise ContractError("finetune_phase: student must be binarized")
     c = student.config
     distill = distill or DistillConfig(width=c.width)
     tok, lab, batches = _student_data(dataset, cfg, cfg.seed + 31)
-    opt = AdamW(_trainable(student, distill, cfg.variant, "finetune"),
-                cfg.lr_weights, cfg.lr_gates, keep=survival_masks(student, cfg.tau))
+    sub = compact(student, cfg.tau)
+    st = sub.kept
+    sub_distill = DistillConfig(w_layer=parameter(distill.w_layer.data[st.width]))
+    opt = AdamW(_trainable(sub, sub_distill, cfg.variant, "finetune"),
+                cfg.lr_weights, cfg.lr_gates)
     # all FFN sub-layers gone: hidden states are still defined, map to any
-    alive = list(structure(student, cfg.tau).ffn)
-    alive = alive if any(alive) else [True] * c.layers
+    alive = list(st.ffn) if any(st.ffn) else [True] * c.layers
     cache = _TeacherCache(teacher)
     vib = vib_loss(student)  # binarized gates never train: a constant; reported
 
     def step_fn(step, bi, idx):
         tb = tok[idx].astype(np.int64)
         t_logits, t_hiddens = cache.get(bi, tb)
-        trace = forward(student, tb, "train")
+        trace = forward(sub, tb, "train")
         task = cross_entropy(trace.logits_t, lab[idx])
         pred, mapping, layer_d = _distill_losses(trace, t_logits, t_hiddens,
-                                                 distill.w_layer, alive)
+                                                 sub_distill.w_layer, alive)
         loss = total_loss(task, vib, pred, layer_d, None, cfg.eta)
         return loss, lambda v: _record(step, "finetune", v, task.item(), vib.item(),
                                        pred.item(), layer_d.item()), (trace, mapping)
 
-    return _run_phase("finetune", student, opt, [batches] * cfg.epochs_finetune,
-                      step_fn, dataset.split("val"), metrics_cb, cfg.tau)
+    metrics = _run_phase("finetune", sub, opt, [batches] * cfg.epochs_finetune,
+                         step_fn, dataset.split("val"), metrics_cb, cfg.tau)
+    st.scatter(c, {name: p.data for name, p in student.params.items()},
+               {name: p.data for name, p in sub.params.items()})
+    distill.w_layer.data[st.width] = sub_distill.w_layer.data
+    return metrics
 
 
 def make_student(teacher: GatedTransformer, cfg: RunConfig) -> GatedTransformer:

@@ -1,6 +1,7 @@
 """The gate side on one unit vector: the information cost, the expected
 sparsity and their gradients match a per-gate float64 reference, and the
-graph they build does not grow with depth."""
+graph they build does not grow with depth; a training step records few
+graph nodes."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from vibprune import tensor
 from vibprune.data import TaskSpec, generate
 from vibprune.model import LayerSums, ModelConfig, build_teacher
 from vibprune.objective import CountModel, expected_sparsity, kept_count, vib_loss
-from vibprune.pipeline import RunConfig, make_student, prune_phase
+from vibprune.pipeline import (
+    RunConfig,
+    binarize,
+    finetune_phase,
+    make_student,
+    prune_phase,
+)
 from vibprune.tensor import add, backward
 
 TAU, TEMP = 0.3, 0.8
@@ -103,11 +110,9 @@ def test_gate_side_graph_does_not_grow_with_depth(metric):
     assert sizes[0] == sizes[1]
 
 
-def prune_step_nodes(monkeypatch, cfg, spec, **settings) -> int:
-    """Graph nodes recorded by one prune step (the dataset holds one batch)."""
-    run = RunConfig(epochs_prune=1, **settings)
-    teacher = build_teacher(cfg, 0)
-    student = make_student(teacher, run)
+def recorded_nodes(monkeypatch, run_phase) -> int:
+    """Graph nodes recorded while `run_phase()` runs one step, which it
+    asserts from the step records it returns."""
     recorded = []
     make = tensor._make
 
@@ -117,9 +122,17 @@ def prune_step_nodes(monkeypatch, cfg, spec, **settings) -> int:
         return t
 
     monkeypatch.setattr(tensor, "_make", counting)
-    _, metrics = prune_phase(student, teacher, generate(spec), run)
-    assert len(metrics) == 1
+    assert len(run_phase()) == 1
     return sum(recorded)
+
+
+def prune_step_nodes(monkeypatch, cfg, spec, **settings) -> int:
+    """Graph nodes recorded by one prune step (the dataset holds one batch)."""
+    run = RunConfig(epochs_prune=1, **settings)
+    teacher = build_teacher(cfg, 0)
+    student = make_student(teacher, run)
+    return recorded_nodes(monkeypatch,
+                          lambda: prune_phase(student, teacher, generate(spec), run)[1])
 
 
 def test_prune_step_records_few_nodes(monkeypatch):
@@ -144,3 +157,25 @@ def test_readme_prune_step_records_few_nodes(monkeypatch):
                     n_test=8, seed=0)
     assert prune_step_nodes(monkeypatch, cfg, spec, variant="vtrans", batch_size=32,
                             metric="parameters") <= 250
+
+
+def test_finetune_step_runs_only_the_kept_sub_layers(monkeypatch):
+    # the readme-vtrans model pruned as its benchmark seeds are: no FFN
+    # sub-layer, attention in layers 0 and 1 only, one head in layer 1.
+    # 79 nodes; the full-size masked student recorded 155
+    cfg = ModelConfig(vocab_size=16, max_seq=20, width=64, layers=4, heads=4,
+                      ffn_dim=128, num_classes=2)
+    spec = TaskSpec("majority_pair", vocab=16, seq=20, n_train=32, n_val=8,
+                    n_test=8, seed=0)
+    run = RunConfig(epochs_finetune=1, batch_size=32)
+    teacher = build_teacher(cfg, 0)
+    student = make_student(teacher, run)
+    g = student.gates
+    for i in range(cfg.layers):
+        g.layer_ffn[i].mu.data[:] = 0.0
+    for i in (2, 3):
+        g.layer_mha[i].mu.data[:] = 0.0
+    g.heads[1].mu.data[1:] = 0.0
+    binarize(student, 0.0)
+    assert recorded_nodes(monkeypatch, lambda: finetune_phase(
+        student, teacher, generate(spec), run)) <= 80

@@ -1,5 +1,5 @@
 """Model tests: init determinism, gate identity, manual forward oracle,
-gate-zero weight invariance, causal masking."""
+gate-zero weight invariance, causal masking, the compact student."""
 
 import numpy as np
 import pytest
@@ -13,10 +13,14 @@ from vibprune.model import (
     Structure,
     build_student,
     build_teacher,
+    compact,
     default_betas,
     forward,
     structure,
 )
+from vibprune.objective import cross_entropy, layer_distill
+from vibprune.pipeline import binarize
+from vibprune.tensor import add, backward, no_grad, parameter
 
 CFG = ModelConfig(vocab_size=13, max_seq=10, width=8, layers=2, heads=2,
                   ffn_dim=12, num_classes=3)
@@ -435,3 +439,113 @@ class TestStructure:
         shapes["layer.0.wu.weight"] = (6, 9)
         with pytest.raises(FormatError, match="wu.weight"):
             Structure.from_json(st.to_json(), CFG, shapes)
+
+
+DEEP = ModelConfig(vocab_size=13, max_seq=10, width=8, layers=3, heads=2,
+                   ffn_dim=12, num_classes=3)
+
+
+def hand_pruned(seed=70, dtype=np.float32):
+    """A binarized student with random weights and gate scales whose
+    structure has an alive attention sub-layer keeping no head and an FFN
+    writing a strict subset of the kept width (layer 0), a dead layer
+    (layer 1), and a head and FFN units dropped (layer 2)."""
+    s = identity_student(build_teacher(DEEP, seed))
+    rng = np.random.default_rng(seed)
+    for p in s.params.values():
+        p.data = rng.normal(0.0, 0.5, p.shape).astype(dtype)
+    for g in s.gates.all():
+        g.mu.data = rng.uniform(0.5, 1.5, g.unit_count).astype(np.float32)
+    g = s.gates
+    g.width.mu.data[[1, 6]] = 0.0
+    g.heads[0].mu.data[:] = 0.0
+    g.out[0].mu.data[[2, 3]] = 0.0
+    g.inter[0].mu.data[:5] = 0.0
+    g.layer_mha[1].mu.data[:] = 0.0
+    g.layer_ffn[1].mu.data[:] = 0.0
+    g.heads[2].mu.data[0] = 0.0
+    g.inter[2].mu.data[[0, 7]] = 0.0
+    return binarize(s, 0.0)
+
+
+class TestCompact:
+    def test_structure_of_the_hand_pruned_student(self):
+        st = compact(hand_pruned(), 0.0).kept
+        assert st.mha == (True, False, True) and st.ffn == (True, False, True)
+        assert st.heads[0].size == 0 and st.heads[2].tolist() == [1]
+        assert st.out[0].tolist() == [0, 4, 5, 7] and st.width.size == 6
+        assert st.out[2].tolist() == st.width.tolist()
+
+    def test_forward_equals_masked_forward_at_kept_dims(self):
+        s = hand_pruned()
+        sub = compact(s, 0.0)
+        kept = sub.kept.width
+        off = np.setdiff1d(np.arange(DEEP.width), kept)
+        tk = toks(DEEP, batch=6, seed=71, seqlen=9)
+        with no_grad():
+            want, got = forward(s, tk, "eval"), forward(sub, tk, "eval")
+        np.testing.assert_allclose(got.logits, want.logits, rtol=0, atol=1e-5)
+        assert len(got.hidden_states) == DEEP.layers
+        for h_got, h_want in zip(got.hidden_states, want.hidden_states):
+            assert not h_want.data[..., off].any()
+            np.testing.assert_allclose(h_got.data, h_want.data[..., kept],
+                                       rtol=0, atol=1e-5)
+        # the layer that runs attention with a kept head
+        assert len(got.attention_probs) == 1
+        np.testing.assert_allclose(got.attention_probs[0][:, 0],
+                                   want.attention_probs[2][:, 1], rtol=0, atol=1e-6)
+
+    def test_gradients_equal_masked_gradients_on_kept_entries(self):
+        # float64 throughout, so the two summation orders agree to ~1e-15
+        s = hand_pruned(seed=72, dtype=np.float64)
+        sub = compact(s, 0.0)
+        st = sub.kept
+        rng = np.random.default_rng(73)
+        tk = toks(DEEP, batch=4, seed=74, seqlen=7)
+        labels = rng.integers(0, DEEP.num_classes, 4)
+        t_hiddens = [rng.normal(size=(4, 7, DEEP.width)) for _ in range(DEEP.layers)]
+        w_full = parameter(rng.normal(size=(DEEP.width, DEEP.width)), dtype=np.float64)
+        w_sub = parameter(w_full.data[st.width], dtype=np.float64)
+
+        def loss_grads(model, w):
+            tr = forward(model, tk, "train")
+            loss = add(cross_entropy(tr.logits_t, labels),
+                       layer_distill(tr.hidden_states, t_hiddens, w, [0, 2, 2]))
+            backward(loss)
+            return ({n: np.zeros(p.shape) if p.grad is None else p.grad
+                     for n, p in model.params.items()}, w.grad)
+
+        full, w_g = loss_grads(s, w_full)
+        got, w_sub_g = loss_grads(sub, w_sub)
+        want = st.gather(DEEP, full)
+        assert set(got) == set(want)
+        for name in want:
+            if name.endswith("wk.bias"):
+                # it adds one value to a whole score row, which softmax
+                # removes: its gradient is rounding noise in both models
+                assert np.abs([*got[name], *want[name]]).max(initial=0.0) < 1e-12
+                continue
+            scale = np.abs(want[name]).max(initial=0.0)
+            assert np.abs(got[name] - want[name]).max(initial=0.0) <= 1e-5 * scale, name
+        np.testing.assert_allclose(w_sub_g, w_g[st.width], rtol=1e-5, atol=1e-12)
+        assert not np.delete(w_g, st.width, axis=0).any()
+
+    def test_scatter_writes_only_the_kept_sub_grid(self):
+        s = hand_pruned(seed=75)
+        sub = compact(s, 0.0)
+        full = {n: p.data.copy() for n, p in s.params.items()}
+        sub_arrays = {n: p.data + 1.0 for n, p in sub.params.items()}
+        sub.kept.scatter(DEEP, full, sub_arrays)
+        for name, arr in full.items():
+            before = s.params[name].data
+            changed = arr != before
+            if name in sub_arrays:
+                assert changed.sum() == sub_arrays[name].size
+            else:
+                assert not changed.any()
+        np.testing.assert_array_equal(sub.kept.gather(DEEP, full)["emb.tok"],
+                                      sub_arrays["emb.tok"])
+
+    def test_requires_binarized(self):
+        with pytest.raises(ContractError):
+            compact(identity_student(build_teacher(DEEP, 76)), 0.0)

@@ -36,6 +36,7 @@ from vibprune.tensor import (
     texp,
     tlog,
     tsum,
+    widen_lastdim,
 )
 
 
@@ -140,6 +141,9 @@ class TestKernels:
         y, _ = T._normalize(x, width=13)
         y_pad, _ = T._normalize(padded)
         np.testing.assert_allclose(y, y_pad[..., :9], rtol=0, atol=_F32_TOL)
+        # the dense model's row sums: products with a ones column
+        y_ones, _ = T._normalize(x, 13, np.ones((9, 1)))
+        np.testing.assert_allclose(y_ones, y, rtol=0, atol=_F32_TOL)
 
     def test_float64_stays_float64(self):
         x = rnd((4, 7), seed=43).astype(np.float64)
@@ -406,6 +410,40 @@ class TestPrimitiveGradients:
         err = gradcheck(lambda ps: tsum(mul(layer_norm_lastdim(*ps), probe)), [x, w, b],
                         eps=1e-4)
         assert err < 1e-4
+
+    def test_layer_norm_wider_than_last_dim(self):
+        # the kept 5 of 13 dims, the other 8 zero and their outputs unread
+        x = parameter(rnd((2, 3, 5), seed=62))
+        w, b = parameter(rnd((5,), seed=63)), parameter(rnd((5,), seed=64))
+        probe = constant(rnd((2, 3, 5), seed=65, lo=0.5, hi=1.5))
+        f = lambda ps: tsum(mul(layer_norm_lastdim(*ps, width=13), probe))  # noqa: E731
+        assert gradcheck(f, [x, w, b], eps=1e-4) < 1e-4
+        with pytest.raises(ShapeError):
+            layer_norm_lastdim(x, width=4)
+
+    def test_widen(self):
+        idx = np.array([4, 0, 2])
+        x = parameter(rnd((2, 3), seed=66))
+        out = widen_lastdim(x, idx, 6).data
+        np.testing.assert_array_equal(out[:, idx], x.data)
+        assert not out[:, [1, 3, 5]].any()
+        probe = constant(rnd((2, 6), seed=67))
+        assert gradcheck(lambda ps: tsum(mul(widen_lastdim(ps[0], idx, 6), probe)),
+                         [x], eps=1e-4) < 1e-4
+        with pytest.raises(ShapeError):
+            widen_lastdim(x, np.array([0, 6, 1]), 6)
+
+    def test_linear_with_an_empty_axis(self):
+        # no inner entries: the bias alone; no outputs: an empty result
+        x, w = parameter(np.zeros((2, 3, 0))), parameter(np.zeros((0, 4)))
+        b = parameter(rnd((4,), seed=68))
+        y = linear(x, w, b)
+        np.testing.assert_array_equal(y.data, np.broadcast_to(b.data, (2, 3, 4)))
+        backward(tsum(y))
+        np.testing.assert_array_equal(b.grad, np.full(4, 6.0))
+        assert w.grad.shape == (0, 4) and x.grad.shape == (2, 3, 0)
+        assert linear(parameter(rnd((2, 3, 4), seed=69)),
+                      parameter(np.zeros((4, 0)))).shape == (2, 3, 0)
 
     def test_repeat(self):
         _fd_check_unary(lambda t: repeat_lastdim(t, 3), (2, 3, 2), seed=60)
