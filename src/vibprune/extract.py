@@ -50,11 +50,10 @@ class DenseModel:
     # per alive attention layer: wq|wk|wv and their biases side by side, the
     # query columns scaled by 1/sqrt(head_dim): one GEMM, no score scaling
     _qkv: dict = field(init=False, repr=False, compare=False)
-    _ones: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         st, a, n = self.structure, self.arrays, self.d_kept
-        self._wd, self._qkv, self._ones = {}, {}, np.ones((n, 1))
+        self._wd, self._qkv = {}, {}
         qscale = np.float32(1.0 / math.sqrt(self.orig.head_dim))
         for i in range(self.orig.layers):
             if st.mha[i]:
@@ -74,9 +73,8 @@ class DenseModel:
         return int(self.structure.width.size)
 
     def _norm(self, x, gamma=None, beta=None):
-        """Layer norm over kept dims with the original width as divisor; its
-        row sums are products with a ones column (see `_row_sum`)."""
-        y, _ = _normalize(x, self.orig.width, self._ones)
+        """Layer norm over kept dims with the original width as divisor."""
+        y, _ = _normalize(x, self.orig.width)
         if gamma is not None:
             y *= gamma
             y += beta

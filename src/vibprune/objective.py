@@ -26,7 +26,6 @@ from .tensor import (
     linear,
     mean,
     mul,
-    no_grad,
     pick_lastdim,
     scale,
     softmax_lastdim,
@@ -88,19 +87,24 @@ def layer_map(student_hiddens: list, teacher_hiddens: list, w_layer: Tensor,
               alive: list) -> list:
     """For each teacher layer, the alive student layer with the closest
     transformed hidden state (batch-mean squared error; ties -> smaller index).
-    """
+    A pair scores its float64 sum of squares (the divisor is common to all),
+    as one dot product of a reused difference buffer with itself."""
     alive_idx = [j for j, a in enumerate(alive) if a]
     if not alive_idx:
         raise DegenerateModelError("layer_map: no alive student layer")
-    with no_grad():
-        w = w_layer.data
-        proj = {j: np.matmul(student_hiddens[j].data.astype(np.float64), w)
-                for j in alive_idx}
-        mapping = []
-        for ht in teacher_hiddens:
-            htd = ht if isinstance(ht, np.ndarray) else ht.data
-            errs = [np.mean((proj[j] - htd) ** 2) for j in alive_idx]
-            mapping.append(alive_idx[int(np.argmin(errs))])
+    w = w_layer.data.astype(np.float64)
+    proj = {j: student_hiddens[j].data.reshape(-1, w.shape[0]).astype(np.float64) @ w
+            for j in alive_idx}
+    buf = np.empty(proj[alive_idx[0]].size)
+    mapping = []
+    for ht in teacher_hiddens:
+        htd = ht if isinstance(ht, np.ndarray) else ht.data
+        htd = htd.reshape(-1).astype(np.float64)
+        errs = []
+        for j in alive_idx:
+            np.subtract(proj[j].reshape(-1), htd, out=buf)
+            errs.append(buf @ buf)
+        mapping.append(alive_idx[int(np.argmin(errs))])
     return mapping
 
 

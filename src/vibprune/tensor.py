@@ -4,6 +4,9 @@ Design rules:
   * float32 storage and arithmetic by default; float64 only for sums
     (reductions, and the softmax/norm denominators), cast back down before
     they meet float32 data. A float64 input stays float64 throughout.
+    Every softmax and norm reduces its rows through `_row_sum` and
+    `_row_max`: on rows of at most 64 entries a product with a float64 ones
+    column and an exact column sweep, numpy's reductions on longer rows.
   * broadcasting in `add`/`mul` is restricted to: identical shapes,
     a size-1 tensor against anything, and a 1-D vector whose length
     matches the other operand's last dimension.
@@ -182,36 +185,52 @@ def _gelu(x: np.ndarray):
     return y, t
 
 
+_SHORT_ROW = 64  # the longest row `_row_sum` and `_row_max` sweep themselves
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Float64 sums over the last dim, kept as a dim of size 1: on rows of at
+    most 64 entries one product with a ones column, in another summation
+    order, 2-3x faster than numpy's float64 reduction on 300k values."""
+    n = x.shape[-1]
+    if not 0 < n <= _SHORT_ROW:
+        return x.sum(axis=-1, keepdims=True, dtype=np.float64)
+    s = x.astype(np.float64).reshape(-1, n) @ np.ones((n, 1))
+    return s.reshape(x.shape[:-1] + (1,))
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """Maxima over the last dim, kept as a dim of size 1. A row of at most 64
+    entries is swept column by column, one `np.maximum` over all rows each:
+    exact, and 3-12x faster than numpy's reduction on 300k values."""
+    n = x.shape[-1]
+    if not 0 < n <= _SHORT_ROW:
+        return x.max(axis=-1, keepdims=True)
+    m = x[..., :1].copy()
+    for j in range(1, n):
+        np.maximum(m, x[..., j:j + 1], out=m)
+    return m
+
+
 def _softmax(x: np.ndarray) -> np.ndarray:
-    e = x - x.max(axis=-1, keepdims=True)
+    e = x - _row_max(x)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
+    e /= _row_sum(e).astype(x.dtype)
     return e
 
 
-def _row_sum(x: np.ndarray, ones: Optional[np.ndarray] = None) -> np.ndarray:
-    """Float64 sums over the last dim, kept as a dim of size 1. With `ones`, a
-    float64 column of ones, they are one product with it: 2-5x faster than
-    numpy's float64 reduction on rows of 8-35 entries, in another summation
-    order."""
-    if ones is None:
-        return x.sum(axis=-1, keepdims=True, dtype=np.float64)
-    return x.astype(np.float64) @ ones
-
-
-def _normalize(x: np.ndarray, width: Optional[int] = None,
-               ones: Optional[np.ndarray] = None):
+def _normalize(x: np.ndarray, width: Optional[int] = None):
     """Zero mean, unit variance over the last dim; returns (y, 1/std).
 
     A `width` larger than the last dim counts the missing entries as zeros,
     so a model that dropped dims of a zero-padded stream normalizes exactly
-    as the full-width one did. `ones` goes to `_row_sum`: the dense model
-    passes it; the graph does not, so the training arithmetic stays fixed."""
+    as the full-width one did. The graph and the dense model share it, so
+    both sum rows through `_row_sum`."""
     d = x.shape[-1]
     n = d if width is None else width
-    m = _row_sum(x, ones) / n
+    m = _row_sum(x) / n
     xc = x - m.astype(x.dtype)
-    ss = _row_sum(xc * xc, ones)
+    ss = _row_sum(xc * xc)
     inv = (1.0 / np.sqrt((ss + (n - d) * m * m) / n + _LN_EPS)).astype(x.dtype)
     xc *= inv
     return xc, inv
@@ -385,7 +404,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     out = _softmax(xd)
 
     def bw(g):
-        dot = (g * out).sum(axis=-1, keepdims=True, dtype=np.float64).astype(g.dtype)
+        dot = _row_sum(g * out).astype(g.dtype)
         gx = g - dot
         gx *= out
         return [gx]
@@ -425,9 +444,8 @@ def layer_norm_lastdim(x: Tensor, weight: Optional[Tensor] = None,
         if x.requires_grad:
             gy = g * weight.data if affine else g
             # means over all `n` entries; a missing entry's output has no gradient
-            gm = (gy.sum(axis=-1, keepdims=True, dtype=np.float64) / n).astype(gy.dtype)
-            gv = ((gy * y).sum(axis=-1, keepdims=True, dtype=np.float64)
-                  / n).astype(gy.dtype)
+            gm = (_row_sum(gy) / n).astype(gy.dtype)
+            gv = (_row_sum(gy * y) / n).astype(gy.dtype)
             gx = gy - gm
             gx -= y * gv
             gx *= inv

@@ -124,6 +124,23 @@ class TestLayerMatching:
                 best = min(errs, key=lambda j: (errs[j], j))
                 assert got[i] == best
 
+    def test_matches_direct_mean_squared_error(self):
+        rng = np.random.default_rng(5)
+        for trial in range(10):
+            hs = self._hiddens(20 + trial, 4)
+            hs[3] = constant(hs[1].data.copy())  # a tie goes to layer 1
+            ht = [rng.normal(size=(2, 4, 8)).astype(np.float32) for _ in range(3)]
+            w = constant(rng.normal(size=(8, 8)).astype(np.float32))
+            alive = [True, True, False, True]
+            proj = {j: np.matmul(hs[j].data.astype(np.float64), w.data)
+                    for j in range(4) if alive[j]}
+            want = []
+            for t in ht:
+                errs = [np.mean((proj[j] - t) ** 2) for j in proj]
+                want.append(list(proj)[int(np.argmin(errs))])
+            got = layer_map(hs, ht, w, alive)
+            assert got == want and 3 not in got
+
     def test_layer_distill_zero_on_match(self):
         hs = self._hiddens(4, 2)
         w = constant(np.eye(8, dtype=np.float32))

@@ -141,9 +141,24 @@ class TestKernels:
         y, _ = T._normalize(x, width=13)
         y_pad, _ = T._normalize(padded)
         np.testing.assert_allclose(y, y_pad[..., :9], rtol=0, atol=_F32_TOL)
-        # the dense model's row sums: products with a ones column
-        y_ones, _ = T._normalize(x, 13, np.ones((9, 1)))
-        np.testing.assert_allclose(y_ones, y, rtol=0, atol=_F32_TOL)
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 20, 64, 65, 128])
+    def test_row_max_is_exact_on_both_paths(self, n):
+        x = rnd((3, 5, n), seed=44, lo=-20.0, hi=20.0)
+        x[1, :, n // 2:] = T._MASK_FILL     # causally masked score rows
+        for a in (x, x.astype(np.float64)):
+            out = T._row_max(a)
+            assert out.dtype == a.dtype
+            np.testing.assert_array_equal(out, a.max(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("n", [0, 1, 12, 20, 64, 65, 128])
+    def test_row_sum_matches_float64_reduction(self, n):
+        x = rnd((3, 5, n), seed=45, lo=-20.0, hi=20.0)
+        for a in (x, x.astype(np.float64)):
+            out = T._row_sum(a)
+            assert out.dtype == np.float64
+            np.testing.assert_allclose(
+                out, a.sum(axis=-1, keepdims=True, dtype=np.float64), rtol=1e-12)
 
     def test_float64_stays_float64(self):
         x = rnd((4, 7), seed=43).astype(np.float64)
