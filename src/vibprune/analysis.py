@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ContractError, DataError
 from .extract import kept_structure
-from .model import GatedTransformer, forward, structure
+from .model import GatedTransformer, forward
 from .tensor import no_grad
 
 
@@ -20,36 +20,36 @@ class AttentionStats:
     offset_share: dict   # (layer, head) -> {-1: m, 0: m, +1: m}
 
 
-def _alive_heads(model: GatedTransformer, tau: float):
-    """(layer, head) pairs that still exist after masking."""
-    return [(i, int(h)) for i, heads in enumerate(structure(model, tau).heads)
+def _alive_heads(model: GatedTransformer):
+    """(layer, head) pairs that the model's kept structure keeps."""
+    return [(i, int(h)) for i, heads in enumerate(kept_structure(model)[1].heads)
             for h in heads]
 
 
-def _collect_probs(model: GatedTransformer, tokens: np.ndarray, tau: float,
+def _collect_probs(model: GatedTransformer, tokens: np.ndarray,
                    batch_size: int = 64):
     for i in range(0, len(tokens), batch_size):
         tb = tokens[i:i + batch_size].astype(np.int64)
         with no_grad():
-            trace = forward(model, tb, "eval", tau=tau)
+            trace = forward(model, tb, "eval")
         yield tb, trace.attention_probs
 
 
 def token_attention(model: GatedTransformer, tokens: np.ndarray,
-                    token_ids, tau: float = 0.0) -> AttentionStats:
+                    token_ids) -> AttentionStats:
     """Mean attention mass onto positions holding the given tokens, and onto
     previous/current/next positions, per surviving head."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2 or tokens.shape[0] == 0:
         raise DataError("token_attention: empty dataset")
     ids = np.asarray(sorted(set(int(t) for t in token_ids)), dtype=tokens.dtype)
-    pairs = _alive_heads(model, tau)
+    pairs = _alive_heads(model)
     sums = {p: 0.0 for p in pairs}
     off_sums = {p: {-1: 0.0, 0: 0.0, 1: 0.0} for p in pairs}
     n_rows = 0
     s = tokens.shape[1]
     off_counts = {-1: 0, 0: 0, 1: 0}
-    for tb, probs in _collect_probs(model, tokens, tau):
+    for tb, probs in _collect_probs(model, tokens):
         b = tb.shape[0]
         marked = np.isin(tb, ids)                 # (b, s) key positions
         n_rows += b * s
@@ -86,8 +86,7 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 0.5 * t1.sum(axis=-1) + 0.5 * t2.sum(axis=-1)
 
 
-def head_js(model: GatedTransformer, tokens: np.ndarray,
-            tau: float = 0.0) -> tuple:
+def head_js(model: GatedTransformer, tokens: np.ndarray) -> tuple:
     """Pairwise mean JS divergence between surviving heads' attention rows.
 
     Returns (matrix, pairs) where pairs[i] is the (layer, head) behind row i.
@@ -95,11 +94,11 @@ def head_js(model: GatedTransformer, tokens: np.ndarray,
     tokens = np.asarray(tokens)
     if tokens.ndim != 2 or tokens.shape[0] == 0:
         raise DataError("head_js: empty dataset")
-    pairs = _alive_heads(model, tau)
+    pairs = _alive_heads(model)
     n = len(pairs)
     acc = np.zeros((n, n))
     rows = 0
-    for tb, probs in _collect_probs(model, tokens, tau):
+    for tb, probs in _collect_probs(model, tokens):
         b, s = tb.shape
         flat = np.stack([probs[i][:, h].reshape(b * s, s) for (i, h) in pairs])
         rows += b * s

@@ -21,6 +21,7 @@ from .data import Dataset, TaskSpec, generate, load_dataset, save_dataset
 from .errors import ConfigError, DataError, FormatError, VibError
 from .extract import (
     DenseModel,
+    count_params,
     extract_dense,
     flop_count,
     param_count,
@@ -41,7 +42,6 @@ from .objective import (
     cross_entropy,
     expected_sparsity,
     flops_from_sums,
-    full_keep_sums,
     layer_distill,
     layer_map,
     pred_distill,
@@ -386,8 +386,9 @@ def cmd_extract(args):
         raise ConfigError("extract requires --student <checkpoint>")
     student, _ = ctx.student()
     cfg, seq_ref = ctx.config, ctx.run.seq_ref
-    teacher_params = param_count(student)  # same shapes as the teacher
-    teacher_flops = int(round(flops_from_sums(cfg, seq_ref, *full_keep_sums(cfg))))
+    full = Structure.full(cfg)
+    teacher_params = count_params(cfg, full)
+    teacher_flops = int(round(flops_from_sums(cfg, seq_ref, *full.keep_sums())))
     dense = extract_dense(student)
     report = sparsity_report(dense, teacher_params, teacher_flops, seq_ref)
     save_tensors(dense.arrays, ctx.path("dense.ckpt"))
@@ -413,14 +414,14 @@ def cmd_analyze(args):
     reports = {}
     if not isinstance(model, DenseModel):
         token_ids = ctx.settings.v["analyze.tokens"]
-        stats = analysis.token_attention(model, tokens, token_ids, ctx.run.tau)
+        stats = analysis.token_attention(model, tokens, token_ids)
         reports["token_attention.json"] = {
             "token_ids": token_ids,
             "token_share": {f"{l}.{h}": v for (l, h), v in stats.token_share.items()},
             "offset_share": {f"{l}.{h}": v for (l, h), v in
                              stats.offset_share.items()},
         }
-        mat, pairs = analysis.head_js(model, tokens, ctx.run.tau)
+        mat, pairs = analysis.head_js(model, tokens)
         reports["head_divergence.json"] = {"pairs": [list(p) for p in pairs],
                                            "matrix": mat.tolist()}
     if isinstance(model, DenseModel) or model.gates is not None:

@@ -116,27 +116,27 @@ def extract_dense(student: GatedTransformer) -> DenseModel:
     if not student.binarized:
         raise ContractError("extract_dense: student must be binarized first")
 
-    c = student.config
-    st = structure(student, 0.0)  # masks are frozen; tau plays no part
+    c, st = student.config, student.decision
     if st.width.size == 0:
         raise DegenerateModelError("extract_dense: no kept width dims")
     if not any(st.mha + st.ffn):
         raise DegenerateModelError("extract_dense: every sub-layer is gone")
 
     # the gate scales each array folds in: by name, (axis, scale over the full
-    # axis) factors, multiplied in order; an array not named is copied unscaled
-    g, m = student.gates, student.gates.width.frozen
+    # axis) factors, multiplied in order; an array not named is copied unscaled.
+    # The scales are mu: every entry the cut keeps has a hard mask of 1
+    g, m = student.gates, student.gates.width.mu.data
     folds = {"emb.tok": [(1, m)], "emb.pos": [(1, m)], "cls.weight": [(0, m)]}
     for i in range(c.layers):
         p = f"layer.{i}."
-        lm = g.layer_mha[i].frozen
+        lm = g.layer_mha[i].mu.data
         for w in ("wq", "wk", "wv", "wu"):
             folds[p + w + ".weight"] = [(0, m)]
-        folds[p + "wo.weight"] = [(0, np.repeat(g.heads[i].frozen, c.head_dim)
+        folds[p + "wo.weight"] = [(0, np.repeat(g.heads[i].mu.data, c.head_dim)
                                    * float(lm[0])), (1, m)]
         folds[p + "wo.bias"] = [(0, np.repeat(lm, c.width)), (0, m)]
-        out = g.out[i].frozen * m * float(g.layer_ffn[i].frozen[0])
-        folds[p + "wd.weight"] = [(0, g.inter[i].frozen), (1, out)]
+        out = g.out[i].mu.data * m * float(g.layer_ffn[i].mu.data[0])
+        folds[p + "wd.weight"] = [(0, g.inter[i].mu.data), (1, out)]
         folds[p + "wd.bias"] = [(0, out)]
 
     # folded at full size, then cut to the kept sub-grid: the same products
@@ -156,20 +156,21 @@ def extract_dense(student: GatedTransformer) -> DenseModel:
 # exact accounting
 
 
+def count_params(config: ModelConfig, st: Structure) -> int:
+    """Parameters in the sparsity base: every entry of the arrays `st` keeps
+    but the classifier bias's."""
+    return sum(math.prod(shape) for name, shape in st.array_shapes(config).items()
+               if name != "cls.bias")
+
+
 def param_count(model) -> int:
-    """Parameters in the sparsity base, by direct enumeration of arrays."""
-    if isinstance(model, DenseModel):
-        arrays = model.arrays
-    elif isinstance(model, GatedTransformer):
-        arrays = {n: p.data for n, p in model.params.items()}
-    else:
-        raise ContractError("param_count: unsupported model type")
-    return int(sum(a.size for n, a in arrays.items() if n != "cls.bias"))
+    """`count_params` of the model's kept structure."""
+    return count_params(*kept_structure(model))
 
 
 def kept_structure(model) -> tuple:
-    """(config, Structure) of a dense model, or of a gated one under its
-    hard masks (every unit of a teacher)."""
+    """(config, Structure) of a dense model, or of a gated one: the decision
+    `binarize` stored, or the hard masks at tau 0 (every unit of a teacher)."""
     if isinstance(model, DenseModel):
         return model.orig, model.structure
     if isinstance(model, GatedTransformer):

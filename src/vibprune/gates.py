@@ -72,13 +72,6 @@ class VibGate:
         self.beta = float(beta)
         self.mu = parameter(mu)
         self.log_sigma = parameter(log_sigma)
-        # set by pipeline.binarize: mu*hard constant and the hard 0/1 mask
-        self.frozen: np.ndarray | None = None
-        self.frozen_hard: np.ndarray | None = None
-
-    @property
-    def params(self):
-        return [self.mu, self.log_sigma]
 
     def sigma(self) -> np.ndarray:
         return np.exp(self.log_sigma.data)
@@ -159,16 +152,3 @@ def soft_keep(gate, tau: float, temperature: float) -> Tensor:
     )
     return sigmoid(scale(add(la, constant(-float(tau))), 1.0 / temperature))
 
-
-def effective_hard(gate: VibGate, tau: float) -> np.ndarray:
-    """Hard keep mask, honoring a frozen one when the gate is binarized."""
-    if gate.frozen_hard is not None:
-        return gate.frozen_hard
-    return hard_mask(gate, tau)
-
-
-def eval_mask(gate: VibGate, tau: float) -> np.ndarray:
-    """Constant evaluation-time mask: mu * hard_mask (frozen one if binarized)."""
-    if gate.frozen is not None:
-        return gate.frozen
-    return (gate.mu.data * hard_mask(gate, tau)).astype(np.float32)

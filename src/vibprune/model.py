@@ -21,8 +21,7 @@ from .gates import (
     GateInit,
     GateVector,
     Site,
-    effective_hard,
-    eval_mask,
+    hard_mask,
     new_gate,
     normal32,
     sample_mask,
@@ -49,6 +48,7 @@ from .tensor import (
     split_heads,
     tsum,
     widen_lastdim,
+    _widen,
 )
 
 WEIGHT_INIT_STD = 0.02
@@ -207,13 +207,14 @@ def default_betas(config: ModelConfig, beta_global: float = 1e-3) -> dict:
 
 
 _NONE = np.zeros(0, dtype=np.int64)
+_ONE = np.zeros(1, dtype=np.int64)      # the unit of a sub-layer gate
 
 
 @dataclass(frozen=True, eq=False)
 class Structure:
     """The units that survive the hard masks, as sorted indices into the
     original grid. A dead sub-layer keeps no units: its indices are empty.
-    Extraction, finetuning, accounting and the probes all read this one value.
+    `binarize` stores the one that every later stage reads.
     """
 
     width: np.ndarray       # kept width dims
@@ -343,19 +344,22 @@ class Structure:
 
 
 def structure(model: GatedTransformer, tau: float) -> Structure:
-    """The kept units under the hard masks (the frozen ones once binarized).
-    Each gate's mask is evaluated at most once; an ungated model keeps all."""
+    """The kept units under the hard masks at `tau`. A binarized model
+    returns the decision `binarize` stored, whatever `tau`; an ungated one
+    keeps all. Each gate's mask is evaluated at most once."""
     c, g = model.config, model.gates
+    if model.decision is not None:
+        return model.decision
     if g is None:
         return Structure.full(c)
-    hm = effective_hard(g.width, tau) > 0
+    hm = hard_mask(g.width, tau) > 0
     heads, inter, out, mha, ffn = [], [], [], [], []
     for i in range(c.layers):
-        lm = bool(effective_hard(g.layer_mha[i], tau)[0])
-        lf = bool(effective_hard(g.layer_ffn[i], tau)[0])
-        heads.append(np.flatnonzero(effective_hard(g.heads[i], tau)) if lm else _NONE)
-        inter.append(np.flatnonzero(effective_hard(g.inter[i], tau)) if lf else _NONE)
-        out.append(np.flatnonzero((effective_hard(g.out[i], tau) > 0) & hm)
+        lm = bool(hard_mask(g.layer_mha[i], tau)[0])
+        lf = bool(hard_mask(g.layer_ffn[i], tau)[0])
+        heads.append(np.flatnonzero(hard_mask(g.heads[i], tau)) if lm else _NONE)
+        inter.append(np.flatnonzero(hard_mask(g.inter[i], tau)) if lf else _NONE)
+        out.append(np.flatnonzero((hard_mask(g.out[i], tau) > 0) & hm)
                    if lf else _NONE)
         mha.append(lm)
         ffn.append(lf)
@@ -368,9 +372,14 @@ class GatedTransformer:
         self.config = config
         self.params: dict[str, Tensor] = {}
         self.gates: Optional[GateSet] = None
-        self.binarized = False
+        # set by binarize: the kept structure every later reader takes
+        self.decision: Optional[Structure] = None
         # a compact model's arrays are this structure's kept sub-grids
         self.kept: Optional[Structure] = None
+
+    @property
+    def binarized(self) -> bool:
+        return self.decision is not None
 
     def named_params(self):
         for name in sorted(self.params):
@@ -406,20 +415,20 @@ def build_student(teacher: GatedTransformer, gate_init: GateInit,
     return m
 
 
-def compact(student: GatedTransformer, tau: float) -> GatedTransformer:
-    """The binarized student cut down to its kept units: a new parameter for
-    the kept sub-grid of every array it keeps, and the student's gates, whose
-    frozen masks the forward reads at the kept units only. It computes what
-    the student computes, at the kept width dims; `Structure.scatter` of its
-    arrays writes them back."""
+def compact(student: GatedTransformer) -> GatedTransformer:
+    """The binarized student cut down to the structure `binarize` stored: a
+    new parameter for the kept sub-grid of every array it keeps, and the
+    student's gates, whose mu the forward reads at the kept units only. It
+    computes what the student computes, at the kept width dims;
+    `Structure.scatter` of its arrays writes them back."""
     if not student.binarized:
         raise ContractError("compact: student must be binarized")
-    st = structure(student, tau)
+    st = student.decision
     m = GatedTransformer(student.config)
     full = {name: p.data for name, p in student.params.items()}
     m.params = {name: parameter(a, a.dtype)
                 for name, a in st.gather(m.config, full).items()}
-    m.gates, m.binarized, m.kept = student.gates, True, st
+    m.gates, m.decision, m.kept = student.gates, st, st
     return m
 
 
@@ -464,19 +473,23 @@ class _MaskPack:
             self.lmha = [repeat_lastdim(draw(gl), c.width) for gl in g.layer_mha]
             self.lffn = [repeat_lastdim(draw(gl), c.width) for gl in g.layer_ffn]
         else:
-            # a compact model reads each mask at its kept units
-            st = model.kept or Structure.full(c)
+            # mu at the units the structure keeps, widened with +0.0 for a
+            # full-size model; a compact one reads them as they are
+            st, full = structure(model, tau), model.kept is None
 
-            def vec(gate, kept=slice(None)):
-                return constant(eval_mask(gate, tau)[kept])
+            def vec(gate, kept):
+                v = gate.mu.data[kept]
+                return _widen(v, kept, gate.unit_count) if full else v
 
-            self.width = vec(g.width, st.width)
-            self.heads = [constant(np.repeat(eval_mask(gh, tau)[h], dh))
+            def each(gates, kept):
+                return [constant(vec(gt, k)) for gt, k in zip(gates, kept)]
+
+            self.width = constant(vec(g.width, st.width))
+            self.heads = [constant(np.repeat(vec(gh, h), dh))
                           for gh, h in zip(g.heads, st.heads)]
-            self.inter = [vec(gi, n) for gi, n in zip(g.inter, st.inter)]
-            self.out = [vec(go, o) for go, o in zip(g.out, st.out)]
-            self.lmha = [vec(gl) for gl in g.layer_mha]
-            self.lffn = [vec(gl) for gl in g.layer_ffn]
+            self.inter, self.out = each(g.inter, st.inter), each(g.out, st.out)
+            self.lmha = each(g.layer_mha, [_ONE if a else _NONE for a in st.mha])
+            self.lffn = each(g.layer_ffn, [_ONE if a else _NONE for a in st.ffn])
 
 
 def _gate(x: Tensor, mask: Optional[Tensor]) -> Tensor:
@@ -486,7 +499,7 @@ def _gate(x: Tensor, mask: Optional[Tensor]) -> Tensor:
 
 def forward(model: GatedTransformer, tokens: np.ndarray, mode: str = "eval",
             rng=None, tau: float = 0.0) -> ForwardTrace:
-    """Run the model; gates are stochastic in train mode, mean*hard in eval.
+    """Run the model; gates are stochastic in train mode, mu at kept units in eval.
     A compact model (`compact`) runs the same code at the sizes of its
     arrays; its layer norms divide by the full width, as the full-size
     model's do over a stream whose pruned dims are zero."""

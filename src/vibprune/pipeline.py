@@ -5,10 +5,11 @@ Variants:
   fast    same, on a small stratified subset of the data
   faster  subset data, but only gates, norm and bias parameters move
 
-After the pruning phase the gates are frozen to mu * hard 0/1 masks
-(binarize); finetuning then trains the compact student, only the entries
-that survive the masks, and extraction turns the result into a physically
-smaller dense model.
+After the pruning phase `binarize` decides the kept structure once, from
+the hard masks, and stores it on the student; every later stage reads that
+`Structure` and the gates' mu, which no longer train. Finetuning then
+trains the compact student, only the entries the structure keeps, and
+extraction turns the result into a physically smaller dense model.
 All three training phases run one step loop, `_run_phase`.
 """
 
@@ -25,7 +26,7 @@ from .errors import (
     DivergenceError,
     NumericError,
 )
-from .gates import GateInit, hard_mask
+from .gates import GateInit
 from .model import (
     GatedTransformer,
     ModelConfig,
@@ -223,8 +224,8 @@ _EVAL_BATCH = 64
 
 
 def evaluate(model, tokens: np.ndarray, labels: np.ndarray, tau: float = 0.0) -> float:
-    """Classification accuracy under eval-mode (mean * hard) gates at `tau`;
-    a binarized or ungated model ignores `tau`."""
+    """Classification accuracy under eval-mode gates (mu at the units the
+    hard masks at `tau` keep); a binarized or ungated model ignores `tau`."""
     hits = 0
     for i in range(0, len(labels), _EVAL_BATCH):
         tb = tokens[i:i + _EVAL_BATCH].astype(np.int64)
@@ -403,20 +404,20 @@ def prune_phase(student: GatedTransformer, teacher: GatedTransformer,
 
 
 def binarize(student: GatedTransformer, tau: float) -> GatedTransformer:
-    """Freeze every gate to its mu * hard mask; gate params stop training."""
+    """Store on the student the `Structure` the hard masks at `tau` keep,
+    which every later reader takes whatever its tau; the gate parameters
+    stop training. A second call decides again; one that keeps no sub-layer
+    raises and leaves the student unbinarized."""
     if student.gates is None:
         raise ContractError("binarize: model has no gates")
-    g = student.gates
-    for gate in g.all():
-        hard = hard_mask(gate, tau)
-        gate.frozen = (gate.mu.data * hard).astype(np.float32)
-        gate.frozen_hard = hard
-        gate.mu.requires_grad = False
-        gate.log_sigma.requires_grad = False
+    student.decision = None
     st = structure(student, tau)
     if not any(st.mha + st.ffn):
         raise DegenerateModelError("binarize: every layer is dead")
-    student.binarized = True
+    for gate in student.gates.all():
+        gate.mu.requires_grad = False
+        gate.log_sigma.requires_grad = False
+    student.decision = st
     return student
 
 
@@ -433,7 +434,7 @@ def finetune_phase(student: GatedTransformer, teacher: GatedTransformer,
     c = student.config
     distill = distill or DistillConfig(width=c.width)
     tok, lab, batches = _student_data(dataset, cfg, cfg.seed + 31)
-    sub = compact(student, cfg.tau)
+    sub = compact(student)
     st = sub.kept
     sub_distill = DistillConfig(w_layer=parameter(distill.w_layer.data[st.width]))
     opt = AdamW(_trainable(sub, sub_distill, cfg.variant, "finetune"),

@@ -83,9 +83,6 @@ class Tensor:
             raise ShapeError(f"item: tensor has {self.data.size} elements")
         return self.data.item()
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

@@ -166,7 +166,9 @@ class TestCommandChain:
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
         d = tmp_path_factory.mktemp("run")
-        (d / "run.cfg").write_text(TINY_CONFIG)
+        # a threshold just under the gates' initial log alpha (about 4.6), so
+        # that the two short prune epochs leave units to cut
+        (d / "run.cfg").write_text(TINY_CONFIG + "prune.tau = 4.59\n")
         return d
 
     def _run(self, argv, capsys):
@@ -203,7 +205,7 @@ class TestCommandChain:
 
         r = self._run(["extract", "--config", cfg, "--out", e_dir,
                        "--student", os.path.join(f_dir, "finetuned.ckpt")], capsys)
-        assert r["params"] > 0
+        assert r["params"] > 0 and r["sparsity_params"] > 0
         report = json.load(open(os.path.join(e_dir, "dense.json")))
         assert report["params"] == r["params"]
 
@@ -212,6 +214,12 @@ class TestCommandChain:
                        "--dataset", os.path.join(t_dir, "dataset.bin")], capsys)
         assert 0.0 <= r["accuracy"] <= 1.0
         assert r["params"] == report["params"]
+
+        # the binarized student counts the arrays it keeps, as the dense model does
+        r = self._run(["eval", "--config", cfg,
+                       "--student", os.path.join(f_dir, "finetuned.ckpt"),
+                       "--dataset", os.path.join(t_dir, "dataset.bin")], capsys)
+        assert (r["params"], r["flops"]) == (report["params"], report["flops"])
 
         a_dir = str(workdir / "analysis")
         r = self._run(["analyze", "--config", cfg, "--out", a_dir,

@@ -13,7 +13,6 @@ from vibprune.gates import (
     Site,
     VibGate,
     alpha,
-    eval_mask,
     hard_mask,
     kl_term,
     new_gate,
@@ -190,9 +189,3 @@ class TestThresholding:
         backward(tsum(soft_keep(g, 0.0, 1.0)))
         assert g.mu.grad is not None and g.log_sigma.grad is not None
         assert np.abs(g.mu.grad).max() > 0
-
-    def test_eval_mask_is_mu_times_hard(self):
-        g = make_gate([1.2, 0.7], [np.exp(-0.5), np.exp(0.5)])
-        la = np.log(alpha(g))
-        expect = g.mu.data * (la > 0.0)
-        np.testing.assert_allclose(eval_mask(g, 0.0), expect, rtol=1e-6)

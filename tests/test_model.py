@@ -6,7 +6,7 @@ import pytest
 
 import vibprune.model as model_mod
 from vibprune.errors import ContractError, DataError, FormatError
-from vibprune.gates import GateInit, normal32
+from vibprune.gates import GateInit, hard_mask, normal32
 from vibprune.model import (
     GatedTransformer,
     ModelConfig,
@@ -401,13 +401,13 @@ class TestStructure:
     def test_each_gate_evaluated_at_most_once(self, monkeypatch):
         s = self._student()
         seen = []
-        real = model_mod.effective_hard
+        real = model_mod.hard_mask
 
         def counting(gate, tau):
             seen.append(id(gate))
             return real(gate, tau)
 
-        monkeypatch.setattr(model_mod, "effective_hard", counting)
+        monkeypatch.setattr(model_mod, "hard_mask", counting)
         structure(s, 0.0)
         assert len(seen) == len(set(seen))
         assert len(seen) == len(s.gates.all()) - 2   # the dead FFN's two unit gates
@@ -470,7 +470,7 @@ def hand_pruned(seed=70, dtype=np.float32):
 
 class TestCompact:
     def test_structure_of_the_hand_pruned_student(self):
-        st = compact(hand_pruned(), 0.0).kept
+        st = compact(hand_pruned()).kept
         assert st.mha == (True, False, True) and st.ffn == (True, False, True)
         assert st.heads[0].size == 0 and st.heads[2].tolist() == [1]
         assert st.out[0].tolist() == [0, 4, 5, 7] and st.width.size == 6
@@ -478,7 +478,7 @@ class TestCompact:
 
     def test_forward_equals_masked_forward_at_kept_dims(self):
         s = hand_pruned()
-        sub = compact(s, 0.0)
+        sub = compact(s)
         kept = sub.kept.width
         off = np.setdiff1d(np.arange(DEEP.width), kept)
         tk = toks(DEEP, batch=6, seed=71, seqlen=9)
@@ -498,7 +498,7 @@ class TestCompact:
     def test_gradients_equal_masked_gradients_on_kept_entries(self):
         # float64 throughout, so the two summation orders agree to ~1e-15
         s = hand_pruned(seed=72, dtype=np.float64)
-        sub = compact(s, 0.0)
+        sub = compact(s)
         st = sub.kept
         rng = np.random.default_rng(73)
         tk = toks(DEEP, batch=4, seed=74, seqlen=7)
@@ -532,7 +532,7 @@ class TestCompact:
 
     def test_scatter_writes_only_the_kept_sub_grid(self):
         s = hand_pruned(seed=75)
-        sub = compact(s, 0.0)
+        sub = compact(s)
         full = {n: p.data.copy() for n, p in s.params.items()}
         sub_arrays = {n: p.data + 1.0 for n, p in sub.params.items()}
         sub.kept.scatter(DEEP, full, sub_arrays)
@@ -548,4 +548,59 @@ class TestCompact:
 
     def test_requires_binarized(self):
         with pytest.raises(ContractError):
-            compact(identity_student(build_teacher(DEEP, 76)), 0.0)
+            compact(identity_student(build_teacher(DEEP, 76)))
+
+
+class TestEvalMasks:
+    """The eval forward's masks: mu at the units the stored structure keeps."""
+
+    @staticmethod
+    def _bits(a):
+        return np.asarray(a, dtype=np.float32).view(np.uint32)
+
+    def _check(self, got, want):
+        # bit patterns, so a -0.0 where +0.0 is due fails
+        np.testing.assert_array_equal(self._bits(got.data), self._bits(want))
+
+    def test_full_size_masks_are_mu_at_kept_units_and_zero_elsewhere(self):
+        s = hand_pruned(seed=77)
+        st, g, dh = s.decision, s.gates, DEEP.head_dim
+        # dropped units with negative mu: mu * 0 would be -0.0 there, and the
+        # stored decision, not the moved gates, says what is kept
+        for gate in g.all():
+            gate.mu.data[gate.mu.data == 0.0] = -1e-3
+        masks = model_mod._MaskPack(s, "eval", None, 0.0, 2, 5)
+
+        def want(gate, kept):
+            v = np.zeros(gate.unit_count, dtype=np.float32)
+            v[kept] = gate.mu.data[kept]
+            return v
+
+        self._check(masks.width, want(g.width, st.width))
+        for i in range(DEEP.layers):
+            self._check(masks.heads[i], np.repeat(want(g.heads[i], st.heads[i]), dh))
+            self._check(masks.inter[i], want(g.inter[i], st.inter[i]))
+            self._check(masks.out[i], want(g.out[i], st.out[i]))
+            self._check(masks.lmha[i], want(g.layer_mha[i], [0] if st.mha[i] else []))
+            self._check(masks.lffn[i], want(g.layer_ffn[i], [0] if st.ffn[i] else []))
+        # layer 1 is dead, while its head and unit gates are on: all +0.0
+        assert hard_mask(g.heads[1], 0.0).all() and hard_mask(g.inter[1], 0.0).all()
+        for m in (masks.heads[1], masks.inter[1], masks.out[1]):
+            assert not self._bits(m.data).any()
+        # FFN outputs on a dropped width dim are off, although their gate is on
+        assert hard_mask(g.out[0], 0.0)[[1, 6]].all()
+        assert not self._bits(masks.out[0].data[[1, 6]]).any()
+
+    def test_compact_masks_are_mu_at_kept_units(self):
+        sub = compact(hand_pruned(seed=78))
+        st, g, dh = sub.kept, sub.gates, DEEP.head_dim
+        masks = model_mod._MaskPack(sub, "train", None, 0.0, 2, 5)
+        self._check(masks.width, g.width.mu.data[st.width])
+        for i in range(DEEP.layers):
+            self._check(masks.heads[i], np.repeat(g.heads[i].mu.data[st.heads[i]], dh))
+            self._check(masks.inter[i], g.inter[i].mu.data[st.inter[i]])
+            self._check(masks.out[i], g.out[i].mu.data[st.out[i]])
+            if st.mha[i]:
+                self._check(masks.lmha[i], g.layer_mha[i].mu.data)
+            if st.ffn[i]:
+                self._check(masks.lffn[i], g.layer_ffn[i].mu.data)

@@ -6,9 +6,9 @@ import pytest
 
 from vibprune import pipeline
 from vibprune.data import TaskSpec, generate
-from vibprune.errors import ContractError
+from vibprune.errors import ContractError, DegenerateModelError
 from vibprune.gates import GateInit, hard_mask
-from vibprune.model import ModelConfig, build_teacher, forward
+from vibprune.model import ModelConfig, build_teacher, forward, structure
 from vibprune.pipeline import (
     AdamW,
     RunConfig,
@@ -90,19 +90,62 @@ class TestBinarize:
         s = make_student(teacher, quick_run_cfg())
         g = s.gates.heads[0]
         g.mu.data[:] = [1.2, 0.7]
-        g.log_sigma.data[:] = [-0.5 * (1 + np.log(1.2**2) / -1), 0.0]
         # set log alpha = [1, -1] exactly: log_sigma = (log mu^2 - la)/2
         g.log_sigma.data[:] = [(np.log(1.2**2) - 1.0) / 2, (np.log(0.7**2) + 1.0) / 2]
         binarize(s, 0.0)
-        np.testing.assert_allclose(g.frozen, [1.2, 0.0], rtol=1e-6)
+        assert s.binarized and structure(s, 0.0) is s.decision
+        assert s.decision.heads[0].tolist() == [0]
+        # the stored decision does not follow the gate
+        g.log_sigma.data[:] = [5.0, -5.0]
+        assert structure(s, 0.0).heads[0].tolist() == [0]
 
     def test_idempotent(self, teacher):
         s = make_student(teacher, quick_run_cfg())
         binarize(s, 0.0)
-        f0 = [g.frozen.copy() for g in s.gates.all()]
+        first = s.decision.to_json()
         binarize(s, 0.0)
-        for a, g in zip(f0, s.gates.all()):
-            np.testing.assert_array_equal(a, g.frozen)
+        assert s.decision.to_json() == first
+
+    def test_decision_is_frozen(self, teacher, dataset):
+        s = make_student(teacher, quick_run_cfg(seed=4))
+        # log alpha of 1 and -1 on alternate units of every head and FFN
+        # gate: the hard masks at tau -2, 0 and 2 all differ
+        g = s.gates
+        for gate in [*g.heads, *g.inter, *g.out]:
+            la = np.where(np.arange(gate.unit_count) % 2 == 0, 1.0, -1.0)
+            gate.log_sigma.data[:] = (np.log(gate.mu.data.astype(np.float64) ** 2)
+                                      - la) / 2
+        tk = dataset.tokens[:16].astype(np.int64)
+
+        def state(t):
+            with no_grad():
+                logits = forward(s, tk, "eval", tau=t).logits
+            return structure(s, t).to_json(), logits
+
+        unbinarized = {t: state(t) for t in (-2.0, 0.0, 2.0)}
+        assert unbinarized[-2.0][0] != unbinarized[0.0][0] != unbinarized[2.0][0]
+        assert not np.array_equal(unbinarized[2.0][1], unbinarized[0.0][1])
+        binarize(s, 0.0)
+        st0, logits0 = state(0.0)
+        assert st0 == unbinarized[0.0][0]
+        for t in (-2.0, 2.0):
+            st, logits = state(t)
+            assert st == st0
+            np.testing.assert_array_equal(logits, logits0)
+        # a second binarize decides again, at its own tau
+        binarize(s, 2.0)
+        st, logits = state(0.0)
+        assert st == unbinarized[2.0][0]
+        np.testing.assert_array_equal(logits, unbinarized[2.0][1])
+
+    def test_degenerate_binarize_leaves_student_unbinarized(self, teacher):
+        s = make_student(teacher, quick_run_cfg())
+        # every gate's log alpha is about 4.6: tau 10 keeps no sub-layer
+        with pytest.raises(DegenerateModelError):
+            binarize(s, 10.0)
+        assert not s.binarized and s.decision is None
+        for g in s.gates.all():
+            assert g.mu.requires_grad and g.log_sigma.requires_grad
 
     def test_eval_forward_invariant_under_binarize(self, teacher, dataset):
         s = make_student(teacher, quick_run_cfg(seed=3))
