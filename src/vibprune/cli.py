@@ -21,7 +21,6 @@ from .data import Dataset, TaskSpec, generate, load_dataset, save_dataset
 from .errors import ConfigError, DataError, FormatError, VibError
 from .extract import (
     DenseModel,
-    count_params,
     extract_dense,
     flop_count,
     param_count,
@@ -36,12 +35,10 @@ from .model import (
     default_betas,
 )
 from .objective import (
-    CountModel,
     DistillConfig,
     SparsityController,
     cross_entropy,
     expected_sparsity,
-    flops_from_sums,
     layer_distill,
     layer_map,
     pred_distill,
@@ -385,12 +382,8 @@ def cmd_extract(args):
     if not args.student:
         raise ConfigError("extract requires --student <checkpoint>")
     student, _ = ctx.student()
-    cfg, seq_ref = ctx.config, ctx.run.seq_ref
-    full = Structure.full(cfg)
-    teacher_params = count_params(cfg, full)
-    teacher_flops = int(round(flops_from_sums(cfg, seq_ref, *full.keep_sums())))
     dense = extract_dense(student)
-    report = sparsity_report(dense, teacher_params, teacher_flops, seq_ref)
+    report = sparsity_report(dense, ctx.run.seq_ref)
     save_tensors(dense.arrays, ctx.path("dense.ckpt"))
     ctx.write_json("dense.json", report)
     print(json.dumps({k: report[k] for k in ("params", "flops", "sparsity_params",
@@ -461,7 +454,6 @@ def run_gradcheck_suite(cfgm: ModelConfig, run: RunConfig, batch: int = 2,
     t_logits = ttr.logits_t.data.copy()
     t_hiddens = [h.data.copy() for h in ttr.hidden_states]
     distill = DistillConfig(width=cfgm.width)
-    counts = CountModel.build(cfgm, run.metric, run.seq_ref)
     controller = SparsityController(target=run.target, lambda1=0.4, lambda2=0.8,
                                     warmup_steps=0)
 
@@ -486,8 +478,8 @@ def run_gradcheck_suite(cfgm: ModelConfig, run: RunConfig, batch: int = 2,
                                                    mapping),
                           model_params + [distill.w_layer], 1e-3),
         "sparsity": (lambda ps: sparsity_loss(
-            controller, expected_sparsity(student, counts, run.tau,
-                                          run.temperature)),
+            controller, expected_sparsity(student, run.metric, run.seq_ref,
+                                          run.tau, run.temperature)),
                      gate_params, 1e-3),
     }
     results = {}

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ContractError, DegenerateModelError
 from .model import GatedTransformer, ModelConfig, Structure, structure
-from .objective import flops_from_sums
+from .objective import count
 from .tensor import _gelu, _normalize, _softmax, _widen
 
 
@@ -156,16 +156,11 @@ def extract_dense(student: GatedTransformer) -> DenseModel:
 # exact accounting
 
 
-def count_params(config: ModelConfig, st: Structure) -> int:
-    """Parameters in the sparsity base: every entry of the arrays `st` keeps
-    but the classifier bias's."""
-    return sum(math.prod(shape) for name, shape in st.array_shapes(config).items()
-               if name != "cls.bias")
-
-
 def param_count(model) -> int:
-    """`count_params` of the model's kept structure."""
-    return count_params(*kept_structure(model))
+    """Parameters in the sparsity base that the model's kept structure keeps:
+    the cost polynomial on its keep sums (every kept entry but the
+    classifier bias's)."""
+    return int(count(*kept_structure(model), "parameters"))
 
 
 def kept_structure(model) -> tuple:
@@ -179,15 +174,17 @@ def kept_structure(model) -> tuple:
 
 
 def flop_count(model, seq_len: int) -> int:
-    """Forward FLOPs for one example at the given sequence length."""
-    cfg, st = kept_structure(model)
-    return int(round(flops_from_sums(cfg, seq_len, *st.keep_sums())))
+    """Forward FLOPs for one example at the given sequence length: the cost
+    polynomial on the keep sums of the model's kept structure, rounded."""
+    return round(count(*kept_structure(model), "flops", seq_len))
 
 
-def sparsity_report(dense: DenseModel, teacher_params: int, teacher_flops: int,
-                    seq_len: int) -> dict:
-    """Sidecar payload describing the extracted structure and its ratios."""
-    st = dense.structure
+def sparsity_report(dense: DenseModel, seq_len: int) -> dict:
+    """Sidecar payload describing the extracted structure and its ratios;
+    the base of each ratio is the `count` of the full structure of the
+    dense model's original config."""
+    cfg, st = dense.orig, dense.structure
+    full = Structure.full(cfg)
     params = param_count(dense)
     flops = flop_count(dense, seq_len)
     return {
@@ -199,8 +196,8 @@ def sparsity_report(dense: DenseModel, teacher_params: int, teacher_flops: int,
         "params": params,
         "flops": flops,
         "seq_len": seq_len,
-        "sparsity_params": 1.0 - params / teacher_params,
-        "sparsity_flops": 1.0 - flops / teacher_flops,
+        "sparsity_params": 1.0 - params / count(cfg, full, "parameters"),
+        "sparsity_flops": 1.0 - flops / round(count(cfg, full, "flops", seq_len)),
         "structure": st.to_json(),
     }
 

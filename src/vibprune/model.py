@@ -105,11 +105,6 @@ class LayerSums(NamedTuple):
     inter: object
     out: object
 
-    @staticmethod
-    def of(per_layer: list) -> "LayerSums":
-        """Columns of a list of per-layer (lm, lf, s_heads, s_inter, s_out)."""
-        return LayerSums(*np.array(per_layer, dtype=np.float64).reshape(-1, 5).T)
-
 
 class GateSet:
     """All gates of one student model, in checkpoint order.
@@ -232,12 +227,12 @@ class Structure:
                          (np.arange(c.width),) * c.layers, alive, alive)
 
     def keep_sums(self):
-        """(s_m, per-layer (lm, lf, s_heads, s_inter, s_out)): the kept counts
-        as floats, in the form the cost polynomial takes."""
-        per_layer = [(float(m), float(f), float(h.size), float(i.size), float(o.size))
-                     for m, f, h, i, o in zip(self.mha, self.ffn, self.heads,
-                                              self.inter, self.out)]
-        return float(self.width.size), per_layer
+        """(s_m, LayerSums): the kept counts as floats, the per-layer ones
+        float64 columns over layers, in the form the cost polynomial takes."""
+        cols = (self.mha, self.ffn, [h.size for h in self.heads],
+                [i.size for i in self.inter], [o.size for o in self.out])
+        return float(self.width.size), LayerSums(*(np.array(c, dtype=np.float64)
+                                                   for c in cols))
 
     def layout(self, config: ModelConfig) -> dict:
         """Every parameter array the structure keeps, by checkpoint name, as

@@ -7,7 +7,9 @@ counts as floats for the dense-extraction oracle. It counts, per structural
 unit, the parameters or forward FLOPs that survive only if every gate unit
 covering them survives. Its per-layer sums are columns over layers, so the
 soft count is a fixed handful of graph nodes whatever the depth; the gate
-side likewise works on one vector holding every gate unit.
+side likewise works on one vector holding every gate unit. `count` applies
+it to a `Structure`: every parameter and FLOP count the program reports,
+and the base of every sparsity, is that one call.
 """
 
 from __future__ import annotations
@@ -159,29 +161,11 @@ class SparsityController:
             self.t_cur = self.target * min(1.0, (step + 1) / self.warmup_steps)
 
 
-@dataclass
-class CountModel:
-    """Base counts for one model config under one metric."""
-
-    config: ModelConfig
-    metric: str
-    seq_ref: int
-    total_base: float
-
-    @staticmethod
-    def build(config: ModelConfig, metric: str, seq_ref: int = 32) -> "CountModel":
-        if metric not in ("parameters", "flops"):
-            raise ContractError(f"CountModel: unknown metric '{metric}'")
-        s_m, per_layer = full_keep_sums(config)
-        base = kept_count(config, metric, seq_ref, s_m, LayerSums.of(per_layer))
-        return CountModel(config, metric, seq_ref, float(base))
-
-
 def _add_layer_total(kept, terms):
     """`kept` plus the sum of a column of per-layer terms. On floats each
     layer is added to `kept` in turn, one fixed summation order, so a
-    non-integer hard count (`CountModel.total_base` at an odd `seq_ref`)
-    never depends on how numpy groups a sum."""
+    non-integer hard count (a FLOPs `count` at an odd `seq`) never depends
+    on how numpy groups a sum."""
     if isinstance(terms, Tensor):
         return kept + tsum(terms)
     return sum(terms.tolist(), kept)
@@ -211,6 +195,8 @@ def kept_count(cfg: ModelConfig, metric: str, seq: int, s_m, layers: LayerSums):
         mha = s_a * (s_m * (4.0 * dh) + 3.0 * dh) + s_m * 3.0
         ffn = (s_m * s_i + s_i) + ((s_i * s_om + s_om) + s_m * 2.0)
         return _add_layer_total(kept, lm * mha + lf * ffn)
+    if metric != "flops":
+        raise ContractError(f"kept_count: unknown metric '{metric}'")
     t = float(seq)
     # embedding add + final norm + classifier matmul
     kept = s_m * (2.0 * t + 2.0 * cfg.num_classes)
@@ -230,13 +216,15 @@ def kept_count(cfg: ModelConfig, metric: str, seq: int, s_m, layers: LayerSums):
     return _add_layer_total(kept, lm * mha + lf * ffn)
 
 
-def full_keep_sums(config: ModelConfig):
-    return Structure.full(config).keep_sums()
+def count(config: ModelConfig, st: Structure, metric: str, seq: int = 0) -> float:
+    """Parameters or forward FLOPs of the units `st` keeps: the cost
+    polynomial on its keep sums. Every count of a structure is this one."""
+    return kept_count(config, metric, seq, *st.keep_sums())
 
 
-def flops_from_sums(cfg: ModelConfig, seq: int, s_m: float, per_layer: list) -> float:
-    """Forward FLOPs kept, from `Structure.keep_sums`' (s_m, per-layer list)."""
-    return kept_count(cfg, "flops", seq, s_m, LayerSums.of(per_layer))
+def flops_from_sums(cfg: ModelConfig, seq: int, s_m: float, layers: LayerSums) -> float:
+    """Forward FLOPs kept, from `Structure.keep_sums`' (s_m, LayerSums)."""
+    return kept_count(cfg, "flops", seq, s_m, layers)
 
 
 def hard_keep_sums(model: GatedTransformer, tau: float):
@@ -252,18 +240,18 @@ def soft_keep_sums(model: GatedTransformer, tau: float, temperature: float):
     return g.keep_sums(soft_keep(g.vector(), tau, temperature))
 
 
-def expected_sparsity(model: GatedTransformer, counts: CountModel, tau: float,
+def expected_sparsity(model: GatedTransformer, metric: str, seq: int, tau: float,
                       temperature: float, sums=None) -> Tensor:
-    """Differentiable sparsity estimate 1 - expected_kept / total_base.
-    `sums` reuses `soft_keep_sums` the caller already built for this step."""
+    """Differentiable sparsity estimate 1 - expected kept / the full model's
+    `count`, under `metric` at sequence length `seq`. `sums` reuses
+    `soft_keep_sums` the caller already built for this step."""
     if model.gates is None:
         raise ContractError("expected_sparsity: model has no gates")
     cfg = model.config
-    if cfg != counts.config:
-        raise ContractError("expected_sparsity: counts built for another config")
     s_m, layers = soft_keep_sums(model, tau, temperature) if sums is None else sums
-    total = kept_count(cfg, counts.metric, counts.seq_ref, s_m, layers)
-    return add(constant(1.0), scale(total, -1.0 / counts.total_base))
+    base = count(cfg, Structure.full(cfg), metric, seq)
+    total = kept_count(cfg, metric, seq, s_m, layers)
+    return add(constant(1.0), scale(total, -1.0 / base))
 
 
 def sparsity_loss(controller: SparsityController, s_e: Tensor) -> Tensor:

@@ -38,7 +38,6 @@ from .model import (
     structure,
 )
 from .objective import (
-    CountModel,
     DistillConfig,
     SparsityController,
     cross_entropy,
@@ -94,6 +93,9 @@ class RunConfig:
             raise ContractError("RunConfig: warmup_frac must be in [0, 1]")
         if not 0.0 <= self.eta <= 1.0:
             raise ContractError("RunConfig: eta must be in [0, 1]")
+        for name in ("lr_weights", "lr_gates", "lambda_lr"):
+            if getattr(self, name) < 0:     # NaN passes: it diverges at a step
+                raise ContractError(f"RunConfig: {name} must not be negative")
         if self.metric not in ("parameters", "flops"):
             raise ContractError(f"RunConfig: unknown metric '{self.metric}'")
         if self.gate_init is None:
@@ -348,14 +350,12 @@ def _distill_losses(trace, t_logits, t_hiddens, w_layer, alive):
 
 
 def prune_phase(student: GatedTransformer, teacher: GatedTransformer,
-                dataset: Dataset, cfg: RunConfig, distill: DistillConfig = None,
+                dataset: Dataset, cfg: RunConfig, distill: DistillConfig,
                 metrics_cb=None):
-    """Run the gate-training loop; returns (controller, metrics list)."""
+    """Run the gate-training loop, which also trains `distill`'s
+    layer-distillation map in place; returns (controller, metrics list)."""
     if student.gates is None:
         raise ContractError("prune_phase: student has no gates")
-    c = student.config
-    distill = distill or DistillConfig(width=c.width)
-    counts = CountModel.build(c, cfg.metric, cfg.seq_ref)
     tok, lab, batches = _student_data(dataset, cfg, cfg.seed + 22)
     total_steps = cfg.epochs_prune * len(batches)
     if total_steps == 0:
@@ -385,7 +385,8 @@ def prune_phase(student: GatedTransformer, teacher: GatedTransformer,
             alive[int(np.argmax(keeps))] = True
         pred, mapping, layer_d = _distill_losses(trace, t_logits, t_hiddens,
                                                  distill.w_layer, alive)
-        s_e = expected_sparsity(student, counts, cfg.tau, cfg.temperature, sums)
+        s_e = expected_sparsity(student, cfg.metric, cfg.seq_ref, cfg.tau,
+                                cfg.temperature, sums)
         sp = sparsity_loss(controller, s_e)
 
         def finish(loss_val):
@@ -422,17 +423,16 @@ def binarize(student: GatedTransformer, tau: float) -> GatedTransformer:
 
 
 def finetune_phase(student: GatedTransformer, teacher: GatedTransformer,
-                   dataset: Dataset, cfg: RunConfig, distill: DistillConfig = None,
+                   dataset: Dataset, cfg: RunConfig, distill: DistillConfig,
                    metrics_cb=None):
     """Train surviving weights under task + distillation + (constant) gate
     cost. The steps train the compact student, the kept sub-grid of every
-    array and the kept width rows of the layer-distillation weights, which
-    the end writes back: no pruned entry reaches the optimizer, so each
+    array and the kept width rows of `distill`'s layer-distillation map,
+    which the end writes back: no pruned entry reaches the optimizer, so each
     keeps its bits."""
     if not student.binarized:
         raise ContractError("finetune_phase: student must be binarized")
     c = student.config
-    distill = distill or DistillConfig(width=c.width)
     tok, lab, batches = _student_data(dataset, cfg, cfg.seed + 31)
     sub = compact(student)
     st = sub.kept

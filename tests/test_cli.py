@@ -304,7 +304,7 @@ class TestBadDenseReport:
         binarize(s, 0.0)
         dense = extract_dense(s)
         save_tensors(dense.arrays, str(d / "dense.ckpt"))
-        (d / "dense.json").write_text(json.dumps(sparsity_report(dense, 1, 1, 12)))
+        (d / "dense.json").write_text(json.dumps(sparsity_report(dense, 12)))
         return d
 
     @pytest.mark.parametrize("probe, category", [
@@ -391,6 +391,9 @@ class TestMalformedSettings:
         ("train.warmup_frac", "nan", "prune", "contract error"),
         ("prune.eta", "2", "train-teacher", "contract error"),
         ("prune.metric", "foo", "train-teacher", "contract error"),
+        ("train.lr_weights", "-1", "train-teacher", "contract error"),
+        ("train.lr_gates", "-5", "prune", "contract error"),
+        ("train.lambda_lr", "-1", "prune", "contract error"),
     ])
     def test_one_categorized_line(self, teacher_ckpt, tmp_path, capsys, key, value,
                                   command, category):

@@ -101,6 +101,9 @@ class TestEquivalence:
             # the dense arrays, their shapes and the survival masks agree
             assert ({n: a.shape for n, a in dense.arrays.items()}
                     == dense.structure.array_shapes(CFG)), f"trial {trial}"
+            # the count polynomial against an enumeration of the kept arrays
+            assert param_count(dense) == sum(a.size for n, a in dense.arrays.items()
+                                             if n != "cls.bias"), f"trial {trial}"
             for n, m in survival_masks(s).items():
                 kept = dense.arrays[n].size if n in dense.arrays else 0
                 assert m.sum() == kept, f"trial {trial}: {n}"
@@ -202,7 +205,7 @@ class TestAccounting:
         teacher, s = make_binarized(seed=17, mutate=lambda s: (
             drop(s.gates.width, [4]), drop(s.gates.heads[1], [1])))
         dense = extract_dense(s)
-        rep = sparsity_report(dense, param_count(teacher), flop_count(teacher, 12), 12)
+        rep = sparsity_report(dense, 12)
         assert rep["d_kept"] == CFG.width - 1
         assert rep["heads_kept_per_layer"] == [2, 1]
         assert 0.0 < rep["sparsity_params"] < 1.0
@@ -214,8 +217,8 @@ class TestAccounting:
         from vibprune.model import LayerSums
         from vibprune.objective import kept_count
 
-        per = [(0.0, 0.0, 0.0, 0.0, 0.0)] * CFG.layers
-        assert kept_count(CFG, "parameters", 0, 0.0, LayerSums.of(per)) == 0.0
+        layers = LayerSums(*np.zeros((5, CFG.layers)))
+        assert kept_count(CFG, "parameters", 0, 0.0, layers) == 0.0
 
 
 class TestSurvivalMasks:
@@ -226,7 +229,6 @@ class TestSurvivalMasks:
             assert masks[name].shape == p.data.shape, name
 
     def test_surviving_counts_match_polynomial(self):
-        from vibprune.model import LayerSums
         from vibprune.objective import hard_keep_sums, kept_count
 
         _, s = make_binarized(seed=19, mutate=lambda s: (
@@ -234,9 +236,8 @@ class TestSurvivalMasks:
             drop(s.gates.layer_mha[1], [0])))
         masks = survival_masks(s)
         total = sum(int(m.sum()) for n, m in masks.items() if n != "cls.bias")
-        s_m, per = hard_keep_sums(s, 0.0)
-        assert total == int(kept_count(s.config, "parameters", 0, s_m,
-                                       LayerSums.of(per)))
+        s_m, layers = hard_keep_sums(s, 0.0)
+        assert total == int(kept_count(s.config, "parameters", 0, s_m, layers))
 
     def test_classifier_bias_always_survives(self):
         _, s = make_binarized(seed=20)

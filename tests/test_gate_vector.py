@@ -8,8 +8,14 @@ import pytest
 
 from vibprune import tensor
 from vibprune.data import TaskSpec, generate
-from vibprune.model import LayerSums, ModelConfig, build_teacher
-from vibprune.objective import CountModel, expected_sparsity, kept_count, vib_loss
+from vibprune.model import LayerSums, ModelConfig, Structure, build_teacher
+from vibprune.objective import (
+    DistillConfig,
+    count,
+    expected_sparsity,
+    kept_count,
+    vib_loss,
+)
 from vibprune.pipeline import (
     RunConfig,
     binarize,
@@ -40,7 +46,7 @@ def random_student(cfg, seed):
     return s
 
 
-def reference(cfg, gates, counts, mus, log_sigmas):
+def reference(cfg, gates, metric, seq, mus, log_sigmas):
     """vib_loss + expected_sparsity in float64, one gate at a time."""
     vib, keep = 0.0, {}
     for g, mu, ls in zip(gates.all(), mus, log_sigmas):
@@ -55,9 +61,9 @@ def reference(cfg, gates, counts, mus, log_sigmas):
     per_layer = [(k(gates.layer_mha[i]).sum(), k(gates.layer_ffn[i]).sum(),
                   k(gates.heads[i]).sum(), k(gates.inter[i]).sum(),
                   (k(gates.out[i]) * k_m).sum()) for i in range(cfg.layers)]
-    kept = kept_count(cfg, counts.metric, counts.seq_ref, k_m.sum(),
-                      LayerSums.of(per_layer))
-    return vib + 1.0 - kept / counts.total_base
+    kept = kept_count(cfg, metric, seq, k_m.sum(),
+                      LayerSums(*np.array(per_layer, dtype=np.float64).T))
+    return vib + 1.0 - kept / count(cfg, Structure.full(cfg), metric, seq)
 
 
 @pytest.mark.parametrize("cfg, metric, seq_ref", [
@@ -66,15 +72,14 @@ def reference(cfg, gates, counts, mus, log_sigmas):
 ], ids=["odd-params", "odd-flops", "causal-params", "causal-flops"])
 def test_matches_per_gate_float64_reference(cfg, metric, seq_ref):
     s = random_student(cfg, seed=seq_ref)
-    counts = CountModel.build(cfg, metric, seq_ref)
     vib = vib_loss(s)
-    s_e = expected_sparsity(s, counts, TAU, TEMP)
+    s_e = expected_sparsity(s, metric, seq_ref, TAU, TEMP)
     backward(add(vib, s_e))
 
     gates = s.gates.all()
     mus = [g.mu.data.astype(np.float64) for g in gates]
     lss = [g.log_sigma.data.astype(np.float64) for g in gates]
-    want = reference(cfg, s.gates, counts, mus, lss)
+    want = reference(cfg, s.gates, metric, seq_ref, mus, lss)
     assert vib.item() + s_e.item() == pytest.approx(want, rel=5e-7)
 
     # central differences of the float64 reference, entry by entry
@@ -85,9 +90,9 @@ def test_matches_per_gate_float64_reference(cfg, metric, seq_ref):
             for j in range(arr.size):
                 v = arr[j]
                 arr[j] = v + h
-                up = reference(cfg, s.gates, counts, mus, lss)
+                up = reference(cfg, s.gates, metric, seq_ref, mus, lss)
                 arr[j] = v - h
-                down = reference(cfg, s.gates, counts, mus, lss)
+                down = reference(cfg, s.gates, metric, seq_ref, mus, lss)
                 arr[j] = v
                 fd[j] = (up - down) / (2.0 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-9)
@@ -104,8 +109,7 @@ def test_gate_side_graph_does_not_grow_with_depth(metric):
         cfg = ModelConfig(vocab_size=16, max_seq=12, width=16, layers=layers,
                           heads=2, ffn_dim=32, num_classes=2)
         s = make_student(build_teacher(cfg, 0), RunConfig())
-        counts = CountModel.build(cfg, metric, 12)
-        sizes.append(graph_nodes(add(vib_loss(s), expected_sparsity(s, counts,
+        sizes.append(graph_nodes(add(vib_loss(s), expected_sparsity(s, metric, 12,
                                                                        0.0, 1.0))))
     assert sizes[0] == sizes[1]
 
@@ -132,7 +136,8 @@ def prune_step_nodes(monkeypatch, cfg, spec, **settings) -> int:
     teacher = build_teacher(cfg, 0)
     student = make_student(teacher, run)
     return recorded_nodes(monkeypatch,
-                          lambda: prune_phase(student, teacher, generate(spec), run)[1])
+                          lambda: prune_phase(student, teacher, generate(spec), run,
+                                              DistillConfig(width=cfg.width))[1])
 
 
 def test_prune_step_records_few_nodes(monkeypatch):
@@ -178,4 +183,4 @@ def test_finetune_step_runs_only_the_kept_sub_layers(monkeypatch):
     g.heads[1].mu.data[1:] = 0.0
     binarize(student, 0.0)
     assert recorded_nodes(monkeypatch, lambda: finetune_phase(
-        student, teacher, generate(spec), run)) <= 80
+        student, teacher, generate(spec), run, DistillConfig(width=cfg.width))) <= 80

@@ -395,8 +395,10 @@ class TestStructure:
         assert st.out[0].tolist() == [2, 3, 4, 5, 7]
         # the dead FFN keeps no units although its unit gates are on
         assert st.ffn == (True, False) and st.inter[1].size == st.out[1].size == 0
-        assert st.keep_sums() == (6.0, [(1.0, 1.0, 2.0, 8.0, 5.0),
-                                        (1.0, 0.0, 1.0, 0.0, 0.0)])
+        s_m, layers = st.keep_sums()
+        assert s_m == 6.0
+        assert np.array(layers).T.tolist() == [[1.0, 1.0, 2.0, 8.0, 5.0],
+                                               [1.0, 0.0, 1.0, 0.0, 0.0]]
 
     def test_each_gate_evaluated_at_most_once(self, monkeypatch):
         s = self._student()

@@ -8,15 +8,14 @@ import pytest
 
 from vibprune.errors import ContractError, DegenerateModelError, ShapeError
 from vibprune.gates import GateInit
-from vibprune.model import LayerSums, ModelConfig, build_teacher, forward
+from vibprune.model import ModelConfig, Structure, build_teacher, forward
 from vibprune.objective import (
-    CountModel,
     DistillConfig,
     SparsityController,
+    count,
     cross_entropy,
     expected_sparsity,
     flops_from_sums,
-    full_keep_sums,
     hard_keep_sums,
     kept_count,
     layer_distill,
@@ -189,17 +188,15 @@ class TestVibLoss:
 
 class TestCounting:
     def test_all_ones_matches_enumeration(self):
-        counts = CountModel.build(CFG, "parameters")
         t = build_teacher(CFG, 0)
         direct = sum(p.data.size for n, p in t.params.items() if n != "cls.bias")
-        assert counts.total_base == direct
+        assert count(CFG, Structure.full(CFG), "parameters") == direct
 
     def test_spec_example_teacher_count(self):
         cfg = ModelConfig(vocab_size=64, max_seq=32, width=32, layers=2, heads=4,
                           ffn_dim=64, num_classes=2)
-        s_m, per = full_keep_sums(cfg)
         # frozen regression constant, fixed once by direct enumeration
-        assert kept_count(cfg, "parameters", 0, s_m, LayerSums.of(per)) == 20224.0
+        assert count(cfg, Structure.full(cfg), "parameters") == 20224.0
         t = build_teacher(cfg, 0)
         direct = sum(p.data.size for n, p in t.params.items() if n != "cls.bias")
         assert direct == 20224
@@ -207,19 +204,18 @@ class TestCounting:
     def test_expected_sparsity_extremes(self):
         s = student_with_gates()
         for metric in ("parameters", "flops"):
-            counts = CountModel.build(CFG, metric)
             for g in s.gates.all():
                 set_hard(g, np.ones(g.unit_count))
-            assert expected_sparsity(s, counts, 0.0, 1.0).item() == pytest.approx(
+            assert expected_sparsity(s, metric, 32, 0.0, 1.0).item() == pytest.approx(
                 0.0, abs=1e-6)
             for g in s.gates.all():
                 set_hard(g, np.zeros(g.unit_count))
-            assert expected_sparsity(s, counts, 0.0, 1.0).item() == pytest.approx(
+            assert expected_sparsity(s, metric, 32, 0.0, 1.0).item() == pytest.approx(
                 1.0, abs=1e-6)
 
     def test_flops_scaling_structure(self):
         # FFN terms linear in seq, attention score terms quadratic
-        s_m, per = full_keep_sums(CFG)
+        s_m, per = Structure.full(CFG).keep_sums()
         f1 = flops_from_sums(CFG, 8, s_m, per)
         f2 = flops_from_sums(CFG, 16, s_m, per)
         f4 = flops_from_sums(CFG, 32, s_m, per)
@@ -230,28 +226,22 @@ class TestCounting:
 
     def test_monotone_in_keeps(self):
         s = student_with_gates(seed=5)
-        counts = CountModel.build(CFG, "parameters")
-        base = expected_sparsity(s, counts, 0.0, 1.0).item()
+        base = expected_sparsity(s, "parameters", 32, 0.0, 1.0).item()
         # raising any |mu| raises its keep probability, so sparsity must drop
         g = s.gates.inter[0]
         g.mu.data[3] = 10.0 * (1 if g.mu.data[3] >= 0 else -1)
-        assert expected_sparsity(s, counts, 0.0, 1.0).item() <= base + 1e-9
+        assert expected_sparsity(s, "parameters", 32, 0.0, 1.0).item() <= base + 1e-9
 
-    @pytest.mark.parametrize("field, value", [("heads", 4), ("ffn_dim", 16),
-                                              ("vocab_size", 20), ("max_seq", 12)])
-    def test_counts_for_another_config_rejected(self, field, value):
-        from dataclasses import replace
-
-        counts = CountModel.build(replace(CFG, **{field: value}), "parameters")
-        with pytest.raises(ContractError, match="another config"):
-            expected_sparsity(student_with_gates(), counts, 0.0, 1.0)
+    def test_unknown_metric_rejected(self):
+        s_m, layers = Structure.full(CFG).keep_sums()
+        with pytest.raises(ContractError, match="unknown metric 'flop'"):
+            kept_count(CFG, "flop", 32, s_m, layers)
 
     def test_gradients_flow_to_all_gates(self):
         from vibprune.tensor import backward
 
         s = student_with_gates(seed=6)
-        counts = CountModel.build(CFG, "flops")
-        backward(expected_sparsity(s, counts, 0.0, 1.0))
+        backward(expected_sparsity(s, "flops", 32, 0.0, 1.0))
         for g in s.gates.all():
             assert g.mu.grad is not None
 
@@ -267,7 +257,6 @@ class TestSparsityOracleClosure:
         from vibprune.extract import extract_dense, flop_count, param_count
 
         teacher = build_teacher(cfg, 0)
-        counts = CountModel.build(cfg, metric, seq_ref=12)
         for trial in range(12):
             run = RunConfig(seed=trial, gate_init=GateInit(seed=trial))
             s = make_student(teacher, run)
@@ -278,7 +267,7 @@ class TestSparsityOracleClosure:
             set_hard(s.gates.width, np.concatenate(
                 [[True], rng.random(cfg.width - 1) < 0.7]))
             set_hard(s.gates.layer_ffn[0], [True])
-            s_e = expected_sparsity(s, counts, 0.0, 1.0).item()
+            s_e = expected_sparsity(s, metric, 12, 0.0, 1.0).item()
             binarize(s, 0.0)
             dense = extract_dense(s)
             if metric == "parameters":

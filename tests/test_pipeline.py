@@ -9,6 +9,7 @@ from vibprune.data import TaskSpec, generate
 from vibprune.errors import ContractError, DegenerateModelError
 from vibprune.gates import GateInit, hard_mask
 from vibprune.model import ModelConfig, build_teacher, forward, structure
+from vibprune.objective import DistillConfig
 from vibprune.pipeline import (
     AdamW,
     RunConfig,
@@ -33,6 +34,10 @@ SPEC = TaskSpec("majority_pair", vocab=16, seq=12, n_train=192, n_val=64,
 def weights(model) -> dict:
     """A copy of every non-gate parameter array, by name."""
     return {k: v.data.copy() for k, v in model.params.items()}
+
+
+def identity_map() -> DistillConfig:
+    return DistillConfig(width=CFG.width)
 
 
 def quick_run_cfg(**kw):
@@ -182,7 +187,7 @@ class TestFreezePolicies:
         s = make_student(teacher, quick_run_cfg())
         cfg = quick_run_cfg(variant="faster", subset_fraction=0.25, epochs_prune=2)
         before = weights(s)
-        prune_phase(s, teacher, dataset, cfg)
+        prune_phase(s, teacher, dataset, cfg, identity_map())
         changed, frozen_ok = [], True
         for name, arr in weights(s).items():
             same = np.array_equal(arr, before[name])
@@ -198,7 +203,8 @@ class TestFreezePolicies:
     def test_faster_prune_leaves_frozen_grads_empty(self, teacher, dataset):
         s = make_student(teacher, quick_run_cfg())
         prune_phase(s, teacher, dataset,
-                    quick_run_cfg(variant="faster", subset_fraction=0.25))
+                    quick_run_cfg(variant="faster", subset_fraction=0.25),
+                    identity_map())
         frozen = [p for n, p in s.named_params() if not trains_norm_bias_gates(n)]
         assert frozen
         assert all(p.grad is None and not p.requires_grad for p in frozen)
@@ -212,7 +218,7 @@ class TestPruneLoop:
     def test_metrics_stream_shape(self, teacher, dataset):
         s = make_student(teacher, quick_run_cfg(seed=4))
         cfg = quick_run_cfg(epochs_prune=1)
-        _, metrics = prune_phase(s, teacher, dataset, cfg)
+        _, metrics = prune_phase(s, teacher, dataset, cfg, identity_map())
         assert len(metrics) == int(np.ceil(192 / 32))
         steps = [m["step"] for m in metrics]
         assert steps == sorted(steps)
@@ -226,7 +232,8 @@ class TestPruneLoop:
         runs = []
         for _ in range(2):
             s = make_student(teacher, quick_run_cfg(seed=6))
-            _, metrics = prune_phase(s, teacher, dataset, quick_run_cfg(seed=6))
+            _, metrics = prune_phase(s, teacher, dataset, quick_run_cfg(seed=6),
+                                     identity_map())
             runs.append((metrics, weights(s),
                          [g.mu.data.copy() for g in s.gates.all()]))
         (m1, w1, g1), (m2, w2, g2) = runs
@@ -249,7 +256,8 @@ class TestPruneLoop:
         s = make_student(teacher, quick_run_cfg(seed=4))
         cfg = quick_run_cfg(epochs_prune=2, tau=0.7)
         records = []
-        _, metrics = prune_phase(s, teacher, dataset, cfg, metrics_cb=records.append)
+        _, metrics = prune_phase(s, teacher, dataset, cfg, identity_map(),
+                                  metrics_cb=records.append)
         assert taus == [0.7, 0.7]
         ends = [i for i, r in enumerate(records) if "val_accuracy" in r]
         assert len(ends) == 2 and len(records) == len(metrics) + 2
@@ -262,7 +270,7 @@ class TestPruneLoop:
         # tiny target, zero beta: hard masks should barely move
         s = make_student(teacher, quick_run_cfg(seed=7, beta_global=0.0))
         cfg = quick_run_cfg(seed=7, epochs_prune=2, beta_global=0.0, target=0.01)
-        prune_phase(s, teacher, dataset, cfg)
+        prune_phase(s, teacher, dataset, cfg, identity_map())
         total = kept = 0
         for g in s.gates.all():
             total += g.unit_count
@@ -274,7 +282,7 @@ class TestFinetune:
     def test_requires_binarized(self, teacher, dataset):
         s = make_student(teacher, quick_run_cfg())
         with pytest.raises(ContractError):
-            finetune_phase(s, teacher, dataset, quick_run_cfg())
+            finetune_phase(s, teacher, dataset, quick_run_cfg(), identity_map())
 
     def test_masked_weights_bit_identical(self, teacher, dataset):
         s = make_student(teacher, quick_run_cfg(seed=8))
@@ -287,7 +295,8 @@ class TestFinetune:
 
         surv = survival_masks(s, 0.0)
         before = weights(s)
-        finetune_phase(s, teacher, dataset, quick_run_cfg(seed=8, epochs_finetune=2))
+        finetune_phase(s, teacher, dataset, quick_run_cfg(seed=8, epochs_finetune=2),
+                       identity_map())
         after = weights(s)
         moved = 0
         for name, m in surv.items():
@@ -297,11 +306,26 @@ class TestFinetune:
             moved += int((after[name][m] != before[name][m]).sum())
         assert moved > 0
 
+    def test_finetune_continues_the_map_prune_trained(self, teacher, dataset):
+        s = make_student(teacher, quick_run_cfg(seed=10))
+        distill = identity_map()
+        prune_phase(s, teacher, dataset, quick_run_cfg(seed=10), distill)
+        pruned = distill.w_layer.data.copy()
+        assert not np.array_equal(pruned, np.eye(CFG.width, dtype=np.float32))
+        s.gates.width.mu.data[[2, 5]] = 0.0
+        binarize(s, 0.0)
+        finetune_phase(s, teacher, dataset, quick_run_cfg(seed=10), distill)
+        kept = s.decision.width
+        dropped = np.setdiff1d(np.arange(CFG.width), kept)
+        np.testing.assert_array_equal(distill.w_layer.data[dropped], pruned[dropped])
+        assert not np.array_equal(distill.w_layer.data[kept], pruned[kept])
+
     def test_zero_epochs_is_identity(self, teacher, dataset):
         s = make_student(teacher, quick_run_cfg(seed=9))
         binarize(s, 0.0)
         before = weights(s)
-        finetune_phase(s, teacher, dataset, quick_run_cfg(seed=9, epochs_finetune=0))
+        finetune_phase(s, teacher, dataset, quick_run_cfg(seed=9, epochs_finetune=0),
+                       identity_map())
         for name, arr in weights(s).items():
             np.testing.assert_array_equal(arr, before[name])
 
