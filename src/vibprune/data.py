@@ -104,21 +104,20 @@ class Dataset:
 
 
 def majority_label(payload: np.ndarray, spec: TaskSpec):
-    na = int((payload == spec.token_a).sum())
-    nb = int((payload == spec.token_b).sum())
+    p = payload.tolist()
+    na, nb = p.count(spec.token_a), p.count(spec.token_b)
     if na == nb:
         return None
     return int(na > nb)
 
 
 def parity_label(payload: np.ndarray, spec: TaskSpec):
-    marker_pos = np.flatnonzero(payload == spec.marker_token)
-    if marker_pos.size == 0 or marker_pos.max() + 1 >= payload.size:
+    p, m = payload.tolist(), spec.marker_token
+    bits = [b for a, b in zip(p, p[1:]) if a == m]
+    ones = bits.count(spec.bit1_token)
+    if not bits or p[-1] == m or ones + bits.count(spec.bit0_token) < len(bits):
         return None
-    bits = payload[marker_pos + 1]
-    if not np.isin(bits, [spec.bit0_token, spec.bit1_token]).all():
-        return None
-    return int((bits == spec.bit1_token).sum() % 2)
+    return ones % 2
 
 
 def signal_features(spec: TaskSpec):

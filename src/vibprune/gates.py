@@ -5,9 +5,9 @@ A gate holds one (mu, log_sigma) pair per structural unit of the group it
 controls. Sampled masks are mu + eps * sigma; a unit is dropped when
 log(mu^2 / sigma^2) falls at or below the threshold tau.
 
-`kl_term` and `soft_keep` take a single gate or a `GateVector`, the units of
-every gate of a model as one pair of vectors; training calls them once a
-step on the latter.
+`kl_term`, `soft_keep` and the hard-mask rule take a single gate or a
+`GateVector`, the units of every gate of a model as one pair of vectors;
+training and `model.structure` call them once on the latter.
 """
 
 from __future__ import annotations
@@ -73,9 +73,6 @@ class VibGate:
         self.mu = parameter(mu)
         self.log_sigma = parameter(log_sigma)
 
-    def sigma(self) -> np.ndarray:
-        return np.exp(self.log_sigma.data)
-
 
 class GateVector(NamedTuple):
     """The units of many gates as one (mu, log_sigma) pair of graph vectors;
@@ -127,17 +124,18 @@ def kl_term(gate, beta: np.ndarray = None) -> Tensor:
     return tsum(cost if beta is None else mul(cost, constant(beta)))
 
 
-def alpha(gate: VibGate) -> np.ndarray:
-    """Per-unit redundancy score mu^2 / sigma^2 (zero means the unit is noise)."""
-    return (gate.mu.data.astype(np.float64) ** 2) / (gate.sigma().astype(np.float64) ** 2)
+def alpha(gate) -> np.ndarray:
+    """Per-unit redundancy mu^2 / sigma^2 of a gate or a `GateVector` (0: noise)."""
+    sigma = np.exp(gate.log_sigma.data)
+    return (gate.mu.data.astype(np.float64) ** 2) / (sigma.astype(np.float64) ** 2)
 
 
-def log_alpha(gate: VibGate) -> np.ndarray:
+def log_alpha(gate) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(alpha(gate))
 
 
-def hard_mask(gate: VibGate, tau: float) -> np.ndarray:
+def hard_mask(gate, tau: float) -> np.ndarray:
     """Binary keep mask: 1 where log(alpha) > tau, else 0 (boundary drops)."""
     return (log_alpha(gate) > tau).astype(np.float32)
 

@@ -39,6 +39,7 @@ from .tensor import (
     matmul,
     merge_heads,
     mul,
+    no_grad,
     parameter,
     repeat_lastdim,
     scale,
@@ -135,6 +136,10 @@ class GateSet:
         self._sizes = [g.unit_count for g in gates]
         units = sum(self._sizes)
         start = dict(zip(map(id, gates), np.cumsum([0] + self._sizes[:-1])))
+        # each site's units in `vector` order: width, heads, inter, out, mha, ffn
+        self._sites = [slice(start[id(s[0])], start[id(s[-1])] + s[-1].unit_count)
+                       for s in ([self.width], self.heads, self.inter, self.out,
+                                 self.layer_mha, self.layer_ffn)]
 
         def member(group):
             m = np.zeros((units, c.layers), dtype=np.float32)
@@ -172,6 +177,19 @@ class GateSet:
         gates = self.all()
         return GateVector(concat_lastdim([g.mu for g in gates]),
                           concat_lastdim([g.log_sigma for g in gates]))
+
+    def structure_of(self, keep: np.ndarray) -> "Structure":
+        """The units a boolean keep vector in `vector` order selects; a dead
+        sub-layer keeps none, and an FFN output dim needs its width dim."""
+        width, heads, inter, out, mha, ffn = (keep[s] for s in self._sites)
+
+        def rows(block, alive):
+            block = block.reshape(alive.size, -1) & alive[:, None]
+            return tuple(map(np.flatnonzero, block))
+
+        return Structure(np.flatnonzero(width), rows(heads, mha), rows(inter, ffn),
+                         rows(out.reshape(ffn.size, -1) & width, ffn),
+                         tuple(mha.tolist()), tuple(ffn.tolist()))
 
     def unit_betas(self) -> np.ndarray:
         """Each unit's information-cost weight, in `vector` order."""
@@ -339,27 +357,16 @@ class Structure:
 
 
 def structure(model: GatedTransformer, tau: float) -> Structure:
-    """The kept units under the hard masks at `tau`. A binarized model
-    returns the decision `binarize` stored, whatever `tau`; an ungated one
-    keeps all. Each gate's mask is evaluated at most once."""
-    c, g = model.config, model.gates
+    """The kept units under the hard masks at `tau`, thresholded once over the
+    model's whole gate vector. A binarized model returns the decision
+    `binarize` stored, whatever `tau`; an ungated one keeps all."""
+    g = model.gates
     if model.decision is not None:
         return model.decision
     if g is None:
-        return Structure.full(c)
-    hm = hard_mask(g.width, tau) > 0
-    heads, inter, out, mha, ffn = [], [], [], [], []
-    for i in range(c.layers):
-        lm = bool(hard_mask(g.layer_mha[i], tau)[0])
-        lf = bool(hard_mask(g.layer_ffn[i], tau)[0])
-        heads.append(np.flatnonzero(hard_mask(g.heads[i], tau)) if lm else _NONE)
-        inter.append(np.flatnonzero(hard_mask(g.inter[i], tau)) if lf else _NONE)
-        out.append(np.flatnonzero((hard_mask(g.out[i], tau) > 0) & hm)
-                   if lf else _NONE)
-        mha.append(lm)
-        ffn.append(lf)
-    return Structure(np.flatnonzero(hm), tuple(heads), tuple(inter), tuple(out),
-                     tuple(mha), tuple(ffn))
+        return Structure.full(model.config)
+    with no_grad():
+        return g.structure_of(hard_mask(g.vector(), tau) > 0)
 
 
 class GatedTransformer:

@@ -1,5 +1,7 @@
 """Synthetic task generators: label rules, determinism, balance, file format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,33 @@ class TestRules:
         spec = small_spec("marked_parity")
         assert parity_label(np.full(12, 9), spec) is None
 
+    def test_parity_edge_cases(self):
+        spec = small_spec("marked_parity")
+        # a marker followed by a filler token
+        assert parity_label(np.array([2, 4, 9, 2, 9, 9]), spec) is None
+        # two adjacent markers: the first one's bit is the second marker
+        assert parity_label(np.array([2, 2, 4, 9, 9, 9]), spec) is None
+        # a marker in the last slot has no bit
+        assert parity_label(np.array([2, 4, 9, 9, 9, 2]), spec) is None
+        assert parity_label(np.array([2, 4, 9, 9, 9, 9]), spec) == 1
+        assert parity_label(np.array([], dtype=int), spec) is None
+
+    @given(payload=st.lists(st.sampled_from([2, 3, 4, 9]), max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_rules_match_their_numpy_form(self, payload):
+        p = np.array(payload, dtype=int)
+        spec = small_spec("marked_parity")
+        marker_pos = np.flatnonzero(p == spec.marker_token)
+        bits = p[marker_pos[marker_pos + 1 < p.size] + 1]
+        want = None
+        if marker_pos.size and marker_pos.max() + 1 < p.size and np.isin(
+                bits, [spec.bit0_token, spec.bit1_token]).all():
+            want = int((bits == spec.bit1_token).sum() % 2)
+        assert parity_label(p, spec) == want
+        spec = small_spec("majority_pair")
+        na, nb = (p == spec.token_a).sum(), (p == spec.token_b).sum()
+        assert majority_label(p, spec) == (None if na == nb else int(na > nb))
+
     def test_signal_rank_k_sufficiency(self):
         # the label is recomputable from the k-dim feature sum alone
         spec = small_spec("signal_dims", signal_k=4)
@@ -70,6 +99,20 @@ class TestGeneration:
         for split in ("train", "val", "test"):
             _, labels = ds.split(split)
             assert abs(labels.mean() - 0.5) <= 0.01
+
+    @pytest.mark.parametrize("kind,tokens,labels", [
+        ("majority_pair", "15d861fe090fd18076bc1e93ca44943d929b0b825360d535be0641f26261e566",
+         "87c26359d2d96e6e9408ab14af084f18c4f1bc300eb09ce66dc7d9b8c798d1fc"),
+        ("marked_parity", "ae7efdcdc23fc0a648099f0ad47f2e8c820c31852c9480360963420ece3c8162",
+         "34c07e13977af716a8196c02d217d8f62c422544ff213cd7531f005a3859f638"),
+        ("signal_dims", "49c731f7cf3ef9720fdc5967c31e48c42b7269c88b4934941916d1901f25c0f1",
+         "885511fc322641c89e617df4af46873e100128a2f6893a5bf29268b2b8789089"),
+    ])
+    def test_pinned_digests(self, kind, tokens, labels):
+        # a change to the RNG stream or to a label rule changes every dataset
+        ds = generate(TaskSpec(kind, seed=11, n_train=300, n_val=40, n_test=40))
+        assert hashlib.sha256(ds.tokens.astype("<u2").tobytes()).hexdigest() == tokens
+        assert hashlib.sha256(ds.labels.astype("u1").tobytes()).hexdigest() == labels
 
     def test_framing_tokens(self):
         ds = generate(small_spec("majority_pair"))

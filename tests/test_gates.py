@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from vibprune.errors import ContractError, ShapeError
 from vibprune.gates import (
     GateInit,
+    GateVector,
     Site,
     VibGate,
     alpha,
@@ -20,7 +21,7 @@ from vibprune.gates import (
     sample_mask,
     soft_keep,
 )
-from vibprune.tensor import backward, gradcheck, tsum
+from vibprune.tensor import Tensor, backward, gradcheck, tsum
 
 
 def make_gate(mu, sigma, site=Site.HEADS, beta=0.0):
@@ -32,12 +33,12 @@ class TestInit:
     def test_seeded_normal_init(self):
         g = new_gate(4, Site.HEADS, 1e-4, GateInit(1.0, 0.01, 0.1, seed=7))
         assert g.mu.data.min() > 0.95 and g.mu.data.max() < 1.05
-        np.testing.assert_allclose(g.sigma(), 0.1, rtol=1e-6)
+        np.testing.assert_allclose(np.exp(g.log_sigma.data), 0.1, rtol=1e-6)
 
     def test_zero_variance_init(self):
         g = new_gate(1, Site.LAYER_MHA, 0.0, GateInit(1.0, 0.0, 0.5, seed=0))
         np.testing.assert_array_equal(g.mu.data, [1.0])
-        np.testing.assert_allclose(g.sigma(), [0.5], rtol=1e-6)
+        np.testing.assert_allclose(np.exp(g.log_sigma.data), [0.5], rtol=1e-6)
 
     def test_same_seed_same_mu(self):
         a = new_gate(8, Site.FFN_OUTPUT, 0.0, GateInit(seed=3))
@@ -150,6 +151,16 @@ class TestThresholding:
         assert hard_mask(make_gate([1.0], [2.0]), 0.0)[0] == 0.0  # log 0.25 <= 0
         # boundary log alpha == tau is a drop
         assert hard_mask(make_gate([1.0], [1.0]), 0.0)[0] == 0.0
+
+    def test_gate_vector_thresholds_like_its_gates(self):
+        gates = [make_gate([2.0, 0.0, 1.0], [1.0, 0.1, 1.0]),   # keep, mu 0, tie
+                 make_gate([0.3], [0.2]), make_gate([-3.0, 0.5], [2.0, 0.7])]
+        v = GateVector(Tensor(np.concatenate([g.mu.data for g in gates])),
+                       Tensor(np.concatenate([g.log_sigma.data for g in gates])))
+        for tau in (-1.0, 0.0, 0.7):
+            want = np.concatenate([hard_mask(g, tau) for g in gates])
+            np.testing.assert_array_equal(hard_mask(v, tau), want)
+        np.testing.assert_array_equal(alpha(v), np.concatenate([alpha(g) for g in gates]))
 
     def test_soft_keep_values(self):
         g = make_gate([1.0], [1.0])

@@ -371,6 +371,26 @@ class TestBatchedAttention:
             np.testing.assert_allclose(got_p, want_p, rtol=0, atol=1e-5)
 
 
+def per_gate_walk(model, tau):
+    """The kept structure by one hard mask per gate: the reference the
+    one-pass `structure` must reproduce."""
+    c, g = model.config, model.gates
+    width = hard_mask(g.width, tau) > 0
+    none = np.zeros(0, dtype=np.int64)
+    heads, inter, out, mha, ffn = [], [], [], [], []
+    for i in range(c.layers):
+        lm = bool(hard_mask(g.layer_mha[i], tau)[0])
+        lf = bool(hard_mask(g.layer_ffn[i], tau)[0])
+        heads.append(np.flatnonzero(hard_mask(g.heads[i], tau)) if lm else none)
+        inter.append(np.flatnonzero(hard_mask(g.inter[i], tau)) if lf else none)
+        out.append(np.flatnonzero((hard_mask(g.out[i], tau) > 0) & width)
+                   if lf else none)
+        mha.append(lm)
+        ffn.append(lf)
+    return Structure(np.flatnonzero(width), tuple(heads), tuple(inter), tuple(out),
+                     tuple(mha), tuple(ffn))
+
+
 class TestStructure:
     def _student(self):
         s = identity_student(build_teacher(CFG, seed=60))
@@ -401,18 +421,72 @@ class TestStructure:
                                                [1.0, 0.0, 1.0, 0.0, 0.0]]
 
     def test_each_gate_evaluated_at_most_once(self, monkeypatch):
+        # the hard-mask rule runs once, over the whole gate vector, and
+        # records no graph node
         s = self._student()
         seen = []
         real = model_mod.hard_mask
 
         def counting(gate, tau):
-            seen.append(id(gate))
+            seen.append(gate)
             return real(gate, tau)
 
         monkeypatch.setattr(model_mod, "hard_mask", counting)
         structure(s, 0.0)
-        assert len(seen) == len(set(seen))
-        assert len(seen) == len(s.gates.all()) - 2   # the dead FFN's two unit gates
+        assert len(seen) == 1
+        units = sum(g.unit_count for g in s.gates.all())
+        assert seen[0].mu.shape == seen[0].log_sigma.shape == (units,)
+        assert seen[0].mu.node is None and not seen[0].mu.requires_grad
+
+    def test_reads_the_gates_at_each_call(self):
+        s = self._student()
+        before = structure(s, 0.0)
+        s.gates.width.mu.data = np.zeros(CFG.width, dtype=np.float32)
+        after = structure(s, 0.0)
+        assert before.width.size == 6 and after.width.size == 0
+        assert all(o.size == 0 for o in after.out)
+
+    def test_structure_of_a_keep_vector(self):
+        # the keep vector alone decides: no gate value is read
+        g = self._student().gates
+        parts = {"width": [1, 0, 1, 1, 0, 0, 0, 1],
+                 "heads": [0, 1, 1, 1], "inter": [1] * 12 + [0, 1] + [0] * 10,
+                 "out": [1, 1, 0, 0, 0, 0, 0, 1] + [1] * 8,
+                 "mha": [1, 0], "ffn": [1, 1]}
+        keep = np.concatenate([parts[k] for k in parts]).astype(bool)
+        st = g.structure_of(keep)
+        assert st.width.tolist() == [0, 2, 3, 7]
+        assert [h.tolist() for h in st.heads] == [[1], []]
+        assert [i.tolist() for i in st.inter] == [list(range(12)), [1]]
+        assert [o.tolist() for o in st.out] == [[0, 7], [0, 2, 3, 7]]
+        assert st.mha == (True, False) and st.ffn == (True, True)
+
+    @pytest.mark.parametrize("cfg", [CFG, ModelConfig(13, 10, 8, 3, 2, 12, 3)])
+    def test_matches_the_per_gate_walk(self, cfg):
+        s = identity_student(build_teacher(cfg, seed=62))
+        rng = np.random.default_rng(63)
+        seen = dict.fromkeys(("mu0", "tie", "dead_live", "out_off_width"), 0)
+        for _ in range(150):
+            for g in s.gates.all():
+                n = g.unit_count
+                log_sigma = rng.normal(-1.0, 1.0, n).astype(np.float32)
+                mu = rng.normal(0.0, 1.5, n).astype(np.float32)
+                kind = rng.integers(0, 4, n)
+                mu[kind == 0] = 0.0                                   # log alpha -inf
+                tie = kind == 1                                       # log alpha 0
+                mu[tie] = np.exp(log_sigma[tie]) * rng.choice([-1, 1], tie.sum())
+                g.mu.data, g.log_sigma.data = mu, log_sigma
+                seen["mu0"] += int((kind == 0).sum())
+                seen["tie"] += int(tie.sum())
+            for tau in (-1.0, 0.0, 0.7, 2.0):
+                got, want = structure(s, tau), per_gate_walk(s, tau)
+                assert got.to_json() == want.to_json()
+                for i, alive in enumerate(want.ffn):
+                    seen["dead_live"] += (not alive) and bool(
+                        hard_mask(s.gates.inter[i], tau).any())
+                    seen["out_off_width"] += alive and bool(
+                        (hard_mask(s.gates.out[i], tau) > hard_mask(s.gates.width, tau)).any())
+        assert all(seen.values()), seen
 
     def test_json_round_trip(self):
         st = structure(self._student(), 0.0)
